@@ -773,7 +773,7 @@ px::dist::domain_config skewed_heat_dom_cfg() {
   // same grid.
   (void)cli;
   auto const initial = px::stencil::heat1d_sine_initial(1u << 12);
-  px::stencil::skewed_heat_config hc;
+  px::stencil::dist_heat_config hc;
   hc.partitions = 32;
   hc.steps = 48;
   hc.steps_per_round = 4;
@@ -794,8 +794,8 @@ px::dist::domain_config skewed_heat_dom_cfg() {
   std::size_t vi = 0;
   for (auto const& v : vs) {
     px::dist::distributed_domain dom(skewed_heat_dom_cfg());
-    px::stencil::skewed_heat_config cfg = hc;
-    cfg.rebalance = v.rebalance;
+    px::stencil::dist_heat_config cfg = hc;
+    cfg.rebalance_cfg.enabled = v.rebalance;
     r.run(v.name,
           {{"localities", "4"},
            {"nx", std::to_string(initial.size())},
@@ -807,7 +807,7 @@ px::dist::domain_config skewed_heat_dom_cfg() {
            {"rebalance", v.rebalance ? "on" : "off"}},
           static_cast<std::uint64_t>(initial.size()) * hc.steps,
           [&](std::uint64_t) {
-            auto out = px::stencil::run_skewed_heat1d(dom, initial, cfg);
+            auto out = px::stencil::run_distributed_heat1d(dom, initial, cfg);
             if (out.values.size() != initial.size()) std::abort();
             migrations[vi] += out.migrations;
             imbalance_final[vi] = out.imbalance_final;

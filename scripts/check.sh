@@ -38,6 +38,13 @@
 # paths within threshold of BENCH_pr5.json (75% smoke threshold unless
 # PX_BENCH_THRESHOLD overrides it — same noise rationale as --bench).
 #
+# --pxbench: configure and build the workload benchmark (pxbench/, its own
+# CMake project that compiles px from this tree) into build-pxbench/ and
+# run its ctest -L bench tests: the report-statistics unit tests and a
+# smoke run of every BENCHMARK.json workload, which checks every heat
+# solve bitwise against reference_heat1d. The tier-1 build never compiles
+# pxbench/src against the px headers; this lane does.
+#
 # --bench: smoke-run the px::bench regression suite (scripts/bench.sh
 # --smoke) against the committed baseline BENCH_seed.json when present.
 # Smoke timings on a shared CI host are noisy, so the lane only fails on
@@ -106,6 +113,14 @@ if [ "${1:-}" = "--serve" ]; then
     --out "$repo/build/BENCH_serve_smoke.json" \
     --compare "$repo/BENCH_pr5.json" \
     --threshold "${PX_BENCH_THRESHOLD:-75}"
+  exit 0
+fi
+
+if [ "${1:-}" = "--pxbench" ]; then
+  cmake -B "$repo/build-pxbench" -S "$repo/pxbench" \
+    -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$repo/build-pxbench" -j
+  (cd "$repo/build-pxbench" && ctest -L bench --output-on-failure)
   exit 0
 fi
 

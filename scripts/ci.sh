@@ -19,7 +19,11 @@
 #                    regression gate             (scripts/check.sh --serve)
 #   7. torture       all torture-labeled seed sweeps with a big budget
 #                    (64 seeds per property)     (scripts/check.sh --torture)
-#   8. bench         px::bench smoke run vs the committed BENCH_seed.json
+#   8. pxbench       build pxbench/ against the tree and run its
+#                    ctest -L bench tests: stats + every workload's
+#                    smoke run, heat answers bitwise-checked
+#                                                (scripts/check.sh --pxbench)
+#   9. bench         px::bench smoke run vs the committed BENCH_seed.json
 #                    baseline, gross-regression threshold for timings, the
 #                    in-binary coalescing, rebalance, and explicit-pack
 #                    vs auto-vectorized gates exact
@@ -29,33 +33,37 @@
 # PX_TORTURE_SEEDS overrides both sweep budgets, PX_BENCH_THRESHOLD the
 # bench lane's regression threshold. Any lane failing fails the run
 # immediately (set -e); later lanes reuse the build tree the first lane
-# produced, so the whole chain configures/builds once.
+# produced, so the chain configures/builds px once, plus the separate
+# pxbench/ project in its own tree.
 set -eu
 
 scripts=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
 
-echo "== ci.sh: lane 1/8 tier-1 (build + full suite + sanitizers) =="
+echo "== ci.sh: lane 1/9 tier-1 (build + full suite + sanitizers) =="
 "$scripts/check.sh"
 
-echo "== ci.sh: lane 2/8 resilience (ctest -L resilience) =="
+echo "== ci.sh: lane 2/9 resilience (ctest -L resilience) =="
 "$scripts/check.sh" --resilience
 
-echo "== ci.sh: lane 3/8 agas (ctest -L agas) =="
+echo "== ci.sh: lane 3/9 agas (ctest -L agas) =="
 "$scripts/check.sh" --agas
 
-echo "== ci.sh: lane 4/8 partition (ctest -L partition) =="
+echo "== ci.sh: lane 4/9 partition (ctest -L partition) =="
 "$scripts/check.sh" --partition
 
-echo "== ci.sh: lane 5/8 simd (ctest -L simd) =="
+echo "== ci.sh: lane 5/9 simd (ctest -L simd) =="
 "$scripts/check.sh" --simd
 
-echo "== ci.sh: lane 6/8 serve (ctest -L serve + ws_policy perf gate) =="
+echo "== ci.sh: lane 6/9 serve (ctest -L serve + ws_policy perf gate) =="
 "$scripts/check.sh" --serve
 
-echo "== ci.sh: lane 7/8 torture (ctest -L torture) =="
+echo "== ci.sh: lane 7/9 torture (ctest -L torture) =="
 "$scripts/check.sh" --torture
 
-echo "== ci.sh: lane 8/8 bench smoke (px::bench vs BENCH_seed.json) =="
+echo "== ci.sh: lane 8/9 pxbench (build pxbench/ + ctest -L bench) =="
+"$scripts/check.sh" --pxbench
+
+echo "== ci.sh: lane 9/9 bench smoke (px::bench vs BENCH_seed.json) =="
 "$scripts/check.sh" --bench
 
 echo "== ci.sh: all lanes passed =="

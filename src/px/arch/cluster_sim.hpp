@@ -83,8 +83,8 @@ struct cluster2d_config {
     cluster2d_config cfg);
 
 // ---- checkpoint/restart cost model --------------------------------------
-// Companion to the in-process resilience machinery (px/resilience +
-// heat1d_distributed recovery): what does the buddy-checkpoint/rollback
+// Companion to the in-process resilience machinery (px/resilience + the
+// checkpointing option of run_distributed_heat1d): what does the buddy-checkpoint/rollback
 // protocol cost at cluster scale on a modeled machine? The failure-free
 // phases run through the same DES as simulate_heat1d_cluster; the
 // checkpoint, detection and restore costs compose on top analytically.

@@ -1171,6 +1171,11 @@ void distributed_domain::remove_confirm_hook(std::uint64_t id) {
   confirm_hooks_.erase(id);
 }
 
+std::size_t distributed_domain::confirm_hook_count() {
+  std::lock_guard<std::mutex> guard(hooks_mutex_);
+  return confirm_hooks_.size();
+}
+
 void distributed_domain::send_heartbeat(std::uint32_t src,
                                         std::uint32_t dst) {
   if (dead_[src].load(std::memory_order_acquire) ||

@@ -184,6 +184,7 @@ class distributed_domain {
   // these. The returned id unregisters the hook.
   std::uint64_t add_confirm_hook(std::function<void(std::uint32_t)> hook);
   void remove_confirm_hook(std::uint64_t id);
+  [[nodiscard]] std::size_t confirm_hook_count();
 
   // Detector plumbing. send_heartbeat puts one unsequenced heartbeat frame
   // on the wire (it rides the fabric and its fault plane, so a dead

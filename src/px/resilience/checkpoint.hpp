@@ -4,8 +4,8 @@
 // registry); a partition checkpoints its state into its *buddy* locality's
 // store by shipping the bytes through an ordinary parcel action, so a
 // fail-stopped locality's partitions survive in their buddies and can be
-// restored onto a survivor (see heat1d_distributed and
-// docs/ARCHITECTURE.md §4.2). Deliberately dumb storage — the protocol
+// restored onto a survivor (see the checkpoint_interval option of
+// run_distributed_heat1d and docs/ARCHITECTURE.md §4.2). Deliberately dumb storage — the protocol
 // (who checkpoints what, where, when, and how rollback works) belongs to
 // the application layer on top.
 #pragma once

@@ -7,7 +7,6 @@
 #include "px/stencil/heat1d.hpp"
 #include "px/stencil/heat1d_dataflow.hpp"
 #include "px/stencil/heat1d_distributed.hpp"
-#include "px/stencil/heat1d_rebalance.hpp"
 #include "px/stencil/heat1d_vns.hpp"
 #include "px/stencil/jacobi2d.hpp"
 #include "px/stencil/jacobi2d_blocked.hpp"

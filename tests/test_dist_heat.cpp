@@ -3,6 +3,10 @@
 // fabric models, halo-message accounting, latency injection.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <stdexcept>
+#include <string>
+
 #include "px/stencil/heat1d.hpp"
 #include "px/stencil/heat1d_distributed.hpp"
 #include "px/stencil/reference.hpp"
@@ -38,6 +42,69 @@ TEST_P(DistHeatLocalities, MatchesSerialReferenceExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Localities, DistHeatLocalities,
                          ::testing::Values(1, 2, 3, 4, 6));
+
+// One initial field through every solver mode: each answer must equal the
+// serial reference bit for bit, whatever the split, placement or fabric.
+struct heat_mode {
+  char const* name;
+  std::size_t partitions;  // 0 = one per locality
+  double zipf_s;
+  bool rebalance;
+  std::size_t checkpoint_interval;
+  bool lossy;  // 1% drop/dup/reorder, coalescing + LZ
+
+  friend void PrintTo(heat_mode const& m, std::ostream* os) { *os << m.name; }
+};
+
+class DistHeatModes : public ::testing::TestWithParam<heat_mode> {};
+
+TEST_P(DistHeatModes, BitwiseEqualsReference) {
+  heat_mode const m = GetParam();
+  auto dcfg = domain_cfg(4, 0.0);
+  if (m.lossy) {
+    dcfg.faults.drop = 0.01;
+    dcfg.faults.duplicate = 0.01;
+    dcfg.faults.reorder = 0.01;
+    dcfg.faults.seed = 7;
+    dcfg.coalescing.enabled = true;
+    dcfg.coalescing.compress = true;
+  }
+  px::dist::distributed_domain dom(dcfg);
+  auto const initial = heat1d_sine_initial(403);
+  dist_heat_config hc;
+  hc.steps = 40;
+  hc.partitions = m.partitions;
+  hc.zipf_s = m.zipf_s;
+  hc.rebalance_cfg.enabled = m.rebalance;
+  hc.checkpoint_interval = m.checkpoint_interval;
+  auto const out = run_distributed_heat1d(dom, initial, hc);
+  dom.wait_all_quiescent();
+  EXPECT_TRUE(out.values == reference_heat1d(initial, hc.steps, hc.k));
+  if (m.rebalance) {
+    EXPECT_GT(out.migrations, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, DistHeatModes,
+    ::testing::Values(heat_mode{"uniform", 0, 0.0, false, 0, false},
+                      heat_mode{"zipf16", 16, 1.1, false, 0, false},
+                      heat_mode{"zipf16_rebalanced", 16, 1.1, true, 0, false},
+                      heat_mode{"checkpointed", 0, 0.0, false, 5, false},
+                      heat_mode{"lossy_coalesced_lz", 0, 0.0, false, 0, true}),
+    [](::testing::TestParamInfo<heat_mode> const& mode) {
+      return std::string(mode.param.name);
+    });
+
+TEST(DistHeat, CheckpointingWithRebalancingIsRejected) {
+  px::dist::distributed_domain dom(domain_cfg(2, 0.0));
+  auto const initial = heat1d_sine_initial(64);
+  dist_heat_config hc;
+  hc.checkpoint_interval = 5;
+  hc.rebalance_cfg.enabled = true;
+  EXPECT_THROW((void)run_distributed_heat1d(dom, initial, hc),
+               std::invalid_argument);
+}
 
 TEST(DistHeat, HaloMessageCountMatchesTopology) {
   // A 1D chain of L localities exchanges 2(L-1) halo parcels per step.

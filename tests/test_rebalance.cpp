@@ -14,7 +14,7 @@
 #include "px/arch/machine.hpp"
 #include "px/counters/counters.hpp"
 #include "px/stencil/heat1d.hpp"
-#include "px/stencil/heat1d_rebalance.hpp"
+#include "px/stencil/heat1d_distributed.hpp"
 
 namespace {
 
@@ -233,27 +233,28 @@ TEST(Rebalance, ZipfSizesAreSkewedAndExact) {
 
 TEST(Rebalance, SkewedHeatRebalancesAndStaysBitwiseExact) {
   auto const initial = px::stencil::heat1d_sine_initial(240);
-  px::stencil::skewed_heat_config hc;
+  px::stencil::dist_heat_config hc;
   hc.partitions = 8;
   hc.steps = 24;
   hc.steps_per_round = 6;
   hc.zipf_s = 1.1;
+  hc.rebalance_cfg.enabled = true;
 
   px::dist::domain_config cfg;
   cfg.num_localities = 4;
   cfg.locality_cfg.num_workers = 2;
   cfg.injection_scale = 0.0;
 
-  px::stencil::skewed_heat_config static_cfg = hc;
-  static_cfg.rebalance = false;
+  px::stencil::dist_heat_config static_cfg = hc;
+  static_cfg.rebalance_cfg.enabled = false;
   px::dist::distributed_domain static_dom(cfg);
-  auto const baseline = run_skewed_heat1d(static_dom, initial, static_cfg);
+  auto const baseline = run_distributed_heat1d(static_dom, initial, static_cfg);
   static_dom.wait_all_quiescent();
   EXPECT_EQ(baseline.migrations, 0u);
   EXPECT_GT(baseline.imbalance_initial, 1.25);  // the zipf skew is real
 
   px::dist::distributed_domain dom(cfg);
-  auto const out = run_skewed_heat1d(dom, initial, hc);
+  auto const out = run_distributed_heat1d(dom, initial, hc);
   dom.wait_all_quiescent();  // single-residence invariant runs here
   EXPECT_GT(out.migrations, 0u);
   EXPECT_LT(out.imbalance_final, out.imbalance_initial);

@@ -717,6 +717,21 @@ TEST(HeatKill, KillOneLocalityRunIsBitwiseIdenticalToFaultFree) {
   EXPECT_TRUE(result.values == baseline.values);
 }
 
+// Every partition registers a confirm hook on its host. A recovered solve
+// must remove all of them, including those whose host died and so never
+// saw a teardown.
+TEST(HeatKill, RecoveredSolveRemovesEveryConfirmHook) {
+  auto const initial = px::stencil::heat1d_sine_initial(97);
+  auto const hc = heat_kill_solver_cfg();
+  px::dist::distributed_domain dom(heat_kill_cfg());
+  dom.fabric().faults().fail_stop_at_step(3, 47);
+  auto const hooks_before = dom.confirm_hook_count();
+  auto const out = px::stencil::run_distributed_heat1d(dom, initial, hc);
+  dom.wait_all_quiescent();
+  EXPECT_GE(out.recoveries, 1u);
+  EXPECT_EQ(dom.confirm_hook_count(), hooks_before);
+}
+
 TEST(HeatKill, SixteenSeedTortureSweepStaysBitwiseIdentical) {
   namespace torture = px::torture;
   auto const initial = px::stencil::heat1d_sine_initial(97);

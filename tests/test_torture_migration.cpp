@@ -7,9 +7,9 @@
 //       locality census here;
 //   (b) forwarding chains converge — every object stays reachable through
 //       its original GID within the hop budget after arbitrary tours;
-//   (c) the zipf-skewed heat solver is bitwise identical to a clean,
-//       migration-free run even with the rebalancer actively migrating
-//       partitions mid-solve under faults + coalescing.
+//   (c) the distributed heat solver on a zipf split is bitwise identical
+//       to a clean, migration-free run even with the rebalancer actively
+//       migrating partitions mid-solve under faults + coalescing.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -21,7 +21,7 @@
 
 #include "px/dist/migration.hpp"
 #include "px/stencil/heat1d.hpp"
-#include "px/stencil/heat1d_rebalance.hpp"
+#include "px/stencil/heat1d_distributed.hpp"
 #include "px/torture/forall.hpp"
 #include "px/torture/invariant.hpp"
 
@@ -191,21 +191,22 @@ TEST(TortureMigration, RandomToursKeepOneResidentCopyUnderSeeds) {
 // against a clean static-placement run.
 TEST(TortureMigration, RebalancedHeatBitwiseEqualsStaticUnderSeeds) {
   auto const initial = px::stencil::heat1d_sine_initial(240);
-  px::stencil::skewed_heat_config hc;
+  px::stencil::dist_heat_config hc;
   hc.partitions = 8;
   hc.steps = 24;
   hc.steps_per_round = 6;
   hc.zipf_s = 1.1;
+  hc.rebalance_cfg.enabled = true;
 
   // Baseline: clean fabric, rebalancer off — no migration anywhere.
   px::dist::domain_config clean = lossy_migration_cfg(0);
   clean.faults = {};
   clean.coalescing = {};
   clean.injection_scale = 0.0;
-  px::stencil::skewed_heat_config static_cfg = hc;
-  static_cfg.rebalance = false;
+  px::stencil::dist_heat_config static_cfg = hc;
+  static_cfg.rebalance_cfg.enabled = false;
   px::dist::distributed_domain clean_dom(clean);
-  auto const baseline = run_skewed_heat1d(clean_dom, initial, static_cfg);
+  auto const baseline = run_distributed_heat1d(clean_dom, initial, static_cfg);
   clean_dom.wait_all_quiescent();
   ASSERT_EQ(baseline.migrations, 0u);
   ASSERT_EQ(baseline.values.size(), initial.size());
@@ -216,7 +217,7 @@ TEST(TortureMigration, RebalancedHeatBitwiseEqualsStaticUnderSeeds) {
         px::dist::distributed_domain dom(lossy_migration_cfg(seed));
         if (!dom.reliable() || !dom.coalescing())
           throw std::runtime_error("domain lost reliability or coalescing");
-        auto const out = run_skewed_heat1d(dom, initial, hc);
+        auto const out = run_distributed_heat1d(dom, initial, hc);
         dom.wait_all_quiescent();
         if (out.migrations == 0)
           throw std::runtime_error(
