@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <exception>
 
 #include "px/px.hpp"
 #include "px/simd/simd.hpp"
@@ -11,66 +9,6 @@
 #include "px/support/env.hpp"
 
 namespace px::bench {
-
-std::optional<suite_cli> parse_suite_cli(int argc, char** argv) {
-  auto usage = [&] {
-    std::fprintf(stderr,
-                 "usage: %s [--out FILE] [--compare BASELINE.json] "
-                 "[--threshold PCT] [--smoke]\n",
-                 argc > 0 ? argv[0] : "px_bench_suite");
-    return std::nullopt;
-  };
-  suite_cli cli;
-  for (int i = 1; i < argc; ++i) {
-    std::string const arg = argv[i];
-    auto value = [&]() -> char const* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--out") {
-      char const* v = value();
-      if (v == nullptr) return usage();
-      cli.out = v;
-    } else if (arg == "--compare") {
-      char const* v = value();
-      if (v == nullptr) return usage();
-      cli.compare_baseline = v;
-    } else if (arg == "--threshold") {
-      char const* v = value();
-      if (v == nullptr) return usage();
-      char* end = nullptr;
-      cli.threshold_pct = std::strtod(v, &end);
-      if (end == v || *end != '\0') return usage();
-    } else if (arg == "--smoke") {
-      cli.smoke = true;
-    } else {
-      return usage();
-    }
-  }
-  return cli;
-}
-
-int finalize_suite(runner const& r, suite_cli const& cli) {
-  if (!cli.out.empty()) {
-    if (!write_report_file(r.result(), cli.out)) {
-      std::fprintf(stderr, "px_bench: cannot write report to '%s'\n",
-                   cli.out.c_str());
-      return 2;
-    }
-    std::printf("(report written: %s)\n", cli.out.c_str());
-  }
-  if (cli.compare_baseline.empty()) return 0;
-  report baseline;
-  try {
-    baseline = load_report_file(cli.compare_baseline);
-  } catch (std::exception const& e) {
-    std::fprintf(stderr, "px_bench: %s\n", e.what());
-    return 2;
-  }
-  auto const cmp = compare(baseline, r.result(), cli.threshold_pct);
-  std::printf("\nbaseline comparison (%s):\n%s",
-              cli.compare_baseline.c_str(), cmp.to_text().c_str());
-  return cmp.passed ? 0 : 1;
-}
 
 counter_probe::counter_probe()
     : begin_(counters::registry::instance().take_snapshot()) {}

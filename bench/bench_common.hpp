@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,42 +17,9 @@
 #include "px/arch/machine.hpp"
 #include "px/arch/scaling_model.hpp"
 #include "px/arch/stream_model.hpp"
-#include "px/bench/report.hpp"
 #include "px/counters/counters.hpp"
 
 namespace px::bench {
-
-// ---- regression-harness CLI (px::bench reporter glue) --------------------
-//
-// Shared by the machine-readable suite binaries (px_bench_suite): parses
-//   --out FILE            where to write the px-bench/1 JSON report
-//   --compare BASELINE    compare against a committed baseline report
-//   --threshold PCT       regression threshold for --compare (default 5%)
-//   --smoke               divide iteration counts by 16 (CI smoke lane)
-// and turns a finished runner into a process exit code:
-//   0 = report written (and comparison passed, if requested)
-//   1 = comparison found a regression beyond the threshold
-//   2 = usage error, unreadable/missing baseline, or write failure
-struct suite_cli {
-  std::string out;                 // empty: don't write a report file
-  std::string compare_baseline;    // empty: no comparison
-  double threshold_pct = 5.0;
-  bool smoke = false;
-
-  // Iteration scaling for the smoke lane.
-  [[nodiscard]] std::uint64_t scaled(std::uint64_t iters) const noexcept {
-    std::uint64_t const s = smoke ? iters / 16 : iters;
-    return s == 0 ? 1 : s;
-  }
-};
-
-// nullopt (after printing usage to stderr) on malformed arguments.
-[[nodiscard]] std::optional<suite_cli> parse_suite_cli(int argc,
-                                                       char** argv);
-
-// Writes the report, runs the comparison when requested, prints the
-// comparison table, and returns the exit code described above.
-[[nodiscard]] int finalize_suite(runner const& r, suite_cli const& cli);
 
 // Brackets one timed region with registry snapshots so a timing row can
 // carry the runtime activity behind it. Construction snapshots every

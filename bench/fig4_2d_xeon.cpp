@@ -1,6 +1,59 @@
 // Fig 4: 2D stencil on Intel Xeon E5-2660 v3, 8192x131072 grid, 100 steps.
+//
+// The host validation ends in the paper's explicit-vectorization gate: on
+// the fig4 float problem at 384x384, 20 steps, native<float> pack cells
+// must beat the auto-vectorized float cells on best-of-10 kernel-only
+// GLUP/s (run_jacobi2d's own timing; allocation, VNS encode and decode are
+// outside it). Best, not median: the best sample is what the kernel
+// sustains, and on a small shared host the other samples carry scheduling
+// noise; both sides use the same statistic. Exits 1 when pack <= auto.
+#include <algorithm>
+#include <cstdio>
+#include <thread>
+
 #include "bench_common.hpp"
+#include "px/px.hpp"
+#include "px/stencil/stencil.hpp"
 #include "px/support/env.hpp"
+
+namespace {
+
+struct gate_result {
+  double auto_glups = 0.0;
+  double pack_glups = 0.0;
+};
+
+gate_result pack_vs_auto_gate() {
+  std::size_t const n = 384, steps = 20;
+  int const runs = 10;
+  // Kernel throughput only compares with every worker on a core of its
+  // own: oversubscribed fork/join turns each sweep into a timeslice
+  // lottery that drowns the pack-vs-auto signal.
+  px::scheduler_config cfg;
+  cfg.num_workers = 4;
+  if (std::size_t const hw = std::thread::hardware_concurrency(); hw != 0)
+    cfg.num_workers = std::min(cfg.num_workers, hw);
+  px::runtime rt(cfg);
+
+  px::stencil::field2d<float> init(n, n);
+  px::stencil::init_dirichlet_problem(init);
+  gate_result best;
+  for (int r = 0; r < runs; ++r) {
+    auto const [a, p] = px::sync_wait(rt, [&] {
+      return std::make_pair(
+          px::stencil::run_jacobi2d_auto<float>(px::execution::par, init,
+                                                steps),
+          px::stencil::run_jacobi2d_vns<float>(
+              px::execution::par, px::stencil::vns_abi::native, init,
+              steps));
+    });
+    best.auto_glups = std::max(best.auto_glups, a.timing.glups);
+    best.pack_glups = std::max(best.pack_glups, p.timing.glups);
+  }
+  return best;
+}
+
+}  // namespace
 
 int main() {
   px::bench::print_header(
@@ -11,5 +64,12 @@ int main() {
   px::bench::host_validate_2d(px::env_size("PX_NX").value_or(512),
                               px::env_size("PX_NY").value_or(256),
                               px::env_size("PX_STEPS").value_or(20));
-  return 0;
+
+  auto const g = pack_vs_auto_gate();
+  bool const ok = g.pack_glups > g.auto_glups;
+  std::printf("\nexplicit-vectorization gate (384x384, 20 steps, float; "
+              "best of 10 kernel-only GLUP/s):\n  native pack %.3f vs auto "
+              "%.3f GLUP/s -> %s\n",
+              g.pack_glups, g.auto_glups, ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
 }

@@ -28,15 +28,14 @@
 # --simd: build and run only the ctest-labeled simd suites (pack library,
 # VNS layout + padded segments, field2d, the 2D Jacobi ABI-preset kernels,
 # and the blocked 3D kernel's seed sweep) with a 16-seed budget unless
-# PX_TORTURE_SEEDS overrides it.
+# PX_TORTURE_SEEDS overrides it, then bench/fig4_2d_xeon, whose host
+# validation exits 1 unless native<float> packs beat auto-vectorized float
+# cells on best-of-10 kernel-only GLUP/s (384x384, 20 steps).
 #
 # --serve: build and run the ctest-labeled serve suites (scheduling-policy
 # conformance + px::serve multi-tenant isolation, including the co-tenant
 # fail-stop sweep) with a 16-seed budget unless PX_TORTURE_SEEDS overrides
-# it, then gate the default ws_policy against the committed PR 5 baseline:
-# the policy-interface extraction must keep the spawn/yield/steal hot
-# paths within threshold of BENCH_pr5.json (75% smoke threshold unless
-# PX_BENCH_THRESHOLD overrides it — same noise rationale as --bench).
+# it.
 #
 # --pxbench: configure and build the workload benchmark (pxbench/, its own
 # CMake project that compiles px from this tree) into build-pxbench/ and
@@ -45,15 +44,8 @@
 # solve bitwise against reference_heat1d. The tier-1 build never compiles
 # pxbench/src against the px headers; this lane does.
 #
-# --bench: smoke-run the px::bench regression suite (scripts/bench.sh
-# --smoke) against the committed baseline BENCH_seed.json when present.
-# Smoke timings on a shared CI host are noisy, so the lane only fails on
-# gross regressions (threshold 75% unless PX_BENCH_THRESHOLD overrides
-# it); the real gate is a full scripts/bench.sh run on a quiet machine.
-# Counter-based gates are exempt from the noise carve-out: the suite
-# binary exits 1 when parcel coalescing loses its >= 5x frames-on-wire
-# reduction (net.many_small_parcels), which fails this lane regardless of
-# timing thresholds.
+# Timing regressions are judged by scripts/ab.sh, a same-host interleaved
+# A/B of pxbench/ against a base revision.
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -100,6 +92,7 @@ if [ "${1:-}" = "--simd" ]; then
   (cd "$repo/build" && \
    PX_TORTURE_SEEDS="${PX_TORTURE_SEEDS:-16}" \
    ctest -L simd --output-on-failure)
+  "$repo/build/bench/fig4_2d_xeon"
   exit 0
 fi
 
@@ -109,10 +102,6 @@ if [ "${1:-}" = "--serve" ]; then
   (cd "$repo/build" && \
    PX_TORTURE_SEEDS="${PX_TORTURE_SEEDS:-16}" \
    ctest -L serve --output-on-failure)
-  "$repo/scripts/bench.sh" --smoke \
-    --out "$repo/build/BENCH_serve_smoke.json" \
-    --compare "$repo/BENCH_pr5.json" \
-    --threshold "${PX_BENCH_THRESHOLD:-75}"
   exit 0
 fi
 
@@ -121,18 +110,6 @@ if [ "${1:-}" = "--pxbench" ]; then
     -DCMAKE_BUILD_TYPE=Release
   cmake --build "$repo/build-pxbench" -j
   (cd "$repo/build-pxbench" && ctest -L bench --output-on-failure)
-  exit 0
-fi
-
-if [ "${1:-}" = "--bench" ]; then
-  baseline=""
-  if [ -f "$repo/BENCH_seed.json" ]; then
-    baseline="--compare $repo/BENCH_seed.json \
-              --threshold ${PX_BENCH_THRESHOLD:-75}"
-  fi
-  # shellcheck disable=SC2086  # baseline is intentionally word-split
-  "$repo/scripts/bench.sh" --smoke \
-    --out "$repo/build/BENCH_smoke.json" $baseline
   exit 0
 fi
 

@@ -13,28 +13,26 @@
 #                    16-seed torture sweep       (scripts/check.sh --partition)
 #   5. simd          explicit-vectorization suites: VNS padded segments,
 #                    seam orientation, ABI-preset kernels, blocked 3D
-#                    seed sweep                  (scripts/check.sh --simd)
+#                    seed sweep, then fig4_2d_xeon's pack-beats-auto
+#                    gate                        (scripts/check.sh --simd)
 #   6. serve         scheduling-policy conformance + px::serve isolation
-#                    sweeps, then the ws_policy vs BENCH_pr5.json
-#                    regression gate             (scripts/check.sh --serve)
+#                    sweeps                      (scripts/check.sh --serve)
 #   7. torture       all torture-labeled seed sweeps with a big budget
 #                    (64 seeds per property)     (scripts/check.sh --torture)
 #   8. pxbench       build pxbench/ against the tree and run its
 #                    ctest -L bench tests: stats + every workload's
 #                    smoke run, heat answers bitwise-checked
 #                                                (scripts/check.sh --pxbench)
-#   9. bench         px::bench smoke run vs the committed BENCH_seed.json
-#                    baseline, gross-regression threshold for timings, the
-#                    in-binary coalescing, rebalance, and explicit-pack
-#                    vs auto-vectorized gates exact
-#                                                (scripts/check.sh --bench)
+#   9. ab            same-host interleaved A/B of every pxbench/
+#                    workload against the parent commit, judged by
+#                    BENCHMARK.json's end-to-end bounds
+#                                                (scripts/ab.sh HEAD~1)
 #
 # Knobs pass straight through: PX_SKIP_SAN=1 skips the sanitizer lane,
-# PX_TORTURE_SEEDS overrides both sweep budgets, PX_BENCH_THRESHOLD the
-# bench lane's regression threshold. Any lane failing fails the run
-# immediately (set -e); later lanes reuse the build tree the first lane
+# PX_TORTURE_SEEDS overrides both sweep budgets. Any lane failing fails the
+# run immediately (set -e); later lanes reuse the build tree the first lane
 # produced, so the chain configures/builds px once, plus the separate
-# pxbench/ project in its own tree.
+# pxbench/ project in its own tree and the parent's pxbench build.
 set -eu
 
 scripts=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
@@ -51,10 +49,10 @@ echo "== ci.sh: lane 3/9 agas (ctest -L agas) =="
 echo "== ci.sh: lane 4/9 partition (ctest -L partition) =="
 "$scripts/check.sh" --partition
 
-echo "== ci.sh: lane 5/9 simd (ctest -L simd) =="
+echo "== ci.sh: lane 5/9 simd (ctest -L simd + fig4 pack gate) =="
 "$scripts/check.sh" --simd
 
-echo "== ci.sh: lane 6/9 serve (ctest -L serve + ws_policy perf gate) =="
+echo "== ci.sh: lane 6/9 serve (ctest -L serve) =="
 "$scripts/check.sh" --serve
 
 echo "== ci.sh: lane 7/9 torture (ctest -L torture) =="
@@ -63,7 +61,7 @@ echo "== ci.sh: lane 7/9 torture (ctest -L torture) =="
 echo "== ci.sh: lane 8/9 pxbench (build pxbench/ + ctest -L bench) =="
 "$scripts/check.sh" --pxbench
 
-echo "== ci.sh: lane 9/9 bench smoke (px::bench vs BENCH_seed.json) =="
-"$scripts/check.sh" --bench
+echo "== ci.sh: lane 9/9 ab (pxbench A/B vs the parent commit) =="
+"$scripts/ab.sh" HEAD~1
 
 echo "== ci.sh: all lanes passed =="

@@ -6,14 +6,4 @@ static_assert(attainable(100.0, 0.1, 500.0) == 50.0,
               "memory-bound branch of Eq. 1");
 static_assert(attainable(100.0, 10.0, 500.0) == 100.0,
               "compute-bound branch of Eq. 1");
-static_assert(stencil_roofline(4, 120.0).peak_min_glups ==
-                  expected_peak_min(4, 120.0),
-              "window min is the 3-transfer model");
-static_assert(stencil_roofline(8, 120.0).peak_max_glups ==
-                  expected_peak_max(8, 120.0),
-              "window max is the 2-transfer model");
-static_assert(roofline_fraction(5.0, 10.0) == 0.5, "fraction = measured/peak");
-static_assert(roofline_fraction(5.0, 0.0) == 0.0, "degenerate peak clamps");
-static_assert(ratio_x1000(0.5) == 500, "x1000 fixed point");
-static_assert(ratio_x1000(1.81) == 1810, "x1000 rounds to nearest");
 }  // namespace px::arch

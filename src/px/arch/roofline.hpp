@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "px/arch/machine.hpp"
 
@@ -53,36 +52,6 @@ namespace px::arch {
   double const flops = scalar_bytes == 4 ? peak_dp_gflops * 2.0
                                          : peak_dp_gflops;
   return flops / 4.0;
-}
-
-// ---- reporting helpers (the Fig 6-9 "percent of roofline" columns) -----
-
-// The [Expected Peak Min, Expected Peak Max] window for one data type at a
-// measured STREAM bandwidth — the pair every simd.* bench case reports its
-// measured GLUP/s against.
-struct roofline_window {
-  double peak_min_glups = 0.0;  // 3 transfers / LUP
-  double peak_max_glups = 0.0;  // 2 transfers / LUP (cache blocking)
-};
-
-[[nodiscard]] constexpr roofline_window stencil_roofline(
-    std::size_t scalar_bytes, double bandwidth_gbs) noexcept {
-  return {expected_peak_min(scalar_bytes, bandwidth_gbs),
-          expected_peak_max(scalar_bytes, bandwidth_gbs)};
-}
-
-// measured / peak, clamped at 0 for degenerate peaks. A fraction > 1
-// against peak_min simply means the kernel beats the 3-transfer model
-// (cache blocking working as intended).
-[[nodiscard]] constexpr double roofline_fraction(double measured_glups,
-                                                 double peak_glups) noexcept {
-  return peak_glups > 0.0 ? measured_glups / peak_glups : 0.0;
-}
-
-// Fixed-point x1000 encoding for counter gauges (the /px/.../_x1000
-// convention used by the compression-ratio counters).
-[[nodiscard]] constexpr std::uint64_t ratio_x1000(double ratio) noexcept {
-  return ratio > 0.0 ? static_cast<std::uint64_t>(ratio * 1000.0 + 0.5) : 0;
 }
 
 }  // namespace px::arch

@@ -63,6 +63,19 @@ struct bulk_plan {
   return {&sched, chunks};
 }
 
+// One result slot per chunk, for algorithms that fold each chunk into its
+// own slot. Chunk tasks write their slots concurrently, so every slot must
+// be a separate object: std::vector<bool> packs neighbouring slots into
+// one word, and two chunks setting neighbouring bits race and lose one of
+// the updates.
+template <typename T>
+struct chunk_slot {
+  T value;
+};
+
+template <typename T>
+using chunk_slots = std::vector<chunk_slot<T>>;
+
 // Core fork-join driver with explicit decomposition: spawns `num_chunks`
 // tasks over [0, n), placed by the policy's executor, and waits on a
 // latch. `body(begin, end, chunk_index)` processes one contiguous chunk.
@@ -197,7 +210,7 @@ T reduce(execution::parallel_policy const& policy, It first, It last, T init,
   auto const n = static_cast<std::size_t>(std::distance(first, last));
   if (n == 0) return init;
   detail::bulk_plan const plan = detail::plan_bulk(policy, n);
-  std::vector<T> partials(plan.num_chunks, init);
+  detail::chunk_slots<T> partials(plan.num_chunks, {init});
   detail::bulk_run(policy, *plan.sched, n, plan.num_chunks,
                    [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
                      // Identity-free chunk fold: seed with the first element.
@@ -205,16 +218,13 @@ T reduce(execution::parallel_policy const& policy, It first, It last, T init,
                      for (std::size_t i = lo + 1; i < hi; ++i)
                        acc = op(std::move(acc),
                                 first[static_cast<std::ptrdiff_t>(i)]);
-                     partials[chunk] = std::move(acc);
+                     partials[chunk].value = std::move(acc);
                    });
   // NOTE: bulk_run may re-chunk to 1 when n is tiny; chunk index stays 0 and
   // the remaining `partials` slots keep `init`, which must therefore be the
   // identity of `op` (as with std::reduce).
   T total = std::move(init);
-  // Index-based: vector<bool> partials yield proxy references that cannot
-  // bind to auto&.
-  for (std::size_t i = 0; i < partials.size(); ++i)
-    total = op(std::move(total), std::move(partials[i]));
+  for (auto& p : partials) total = op(std::move(total), std::move(p.value));
   return total;
 }
 
@@ -231,18 +241,17 @@ T transform_reduce(execution::parallel_policy const& policy, It first,
   auto const n = static_cast<std::size_t>(std::distance(first, last));
   if (n == 0) return init;
   detail::bulk_plan const plan = detail::plan_bulk(policy, n);
-  std::vector<T> partials(plan.num_chunks, init);
+  detail::chunk_slots<T> partials(plan.num_chunks, {init});
   detail::bulk_run(policy, *plan.sched, n, plan.num_chunks,
                    [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
                      T acc = m(first[static_cast<std::ptrdiff_t>(lo)]);
                      for (std::size_t i = lo + 1; i < hi; ++i)
                        acc = r(std::move(acc),
                                m(first[static_cast<std::ptrdiff_t>(i)]));
-                     partials[chunk] = std::move(acc);
+                     partials[chunk].value = std::move(acc);
                    });
   T total = std::move(init);
-  for (std::size_t i = 0; i < partials.size(); ++i)
-    total = r(std::move(total), std::move(partials[i]));
+  for (auto& p : partials) total = r(std::move(total), std::move(p.value));
   return total;
 }
 

@@ -1,12 +1,12 @@
 // px/parallel/numeric.hpp
 // Parallel prefix sums and numeric scans. inclusive_scan/exclusive_scan use
 // the classic two-pass chunk algorithm: per-chunk partial reductions, a
-// serial pass over the (few) chunk totals, then a parallel re-sweep adding
-// chunk offsets.
+// serial pass over the (few) chunk totals, then a parallel re-sweep that
+// scans each chunk from its offset.
 #pragma once
 
 #include <iterator>
-#include <vector>
+#include <utility>
 
 #include "px/parallel/algorithms.hpp"
 
@@ -23,49 +23,64 @@ OutIt inclusive_scan(execution::sequenced_policy, InIt first, InIt last,
   return out;
 }
 
-template <typename InIt, typename OutIt, typename T, typename Op>
-OutIt inclusive_scan(execution::parallel_policy const& policy, InIt first,
-                     InIt last, OutIt out, T init, Op op) {
+namespace detail {
+
+// The parallel scans' shared body. Pass 1 folds each chunk into its
+// slot; a serial pass turns the chunk totals into exclusive offsets; pass
+// 2 rescans each chunk from its offset straight into the output. Output
+// may alias the input: pass 2 reads each element before writing it.
+template <bool Inclusive, typename InIt, typename OutIt, typename T,
+          typename Op>
+OutIt chunked_scan(execution::parallel_policy const& policy, InIt first,
+                   InIt last, OutIt out, T init, Op& op) {
   auto const n = static_cast<std::size_t>(std::distance(first, last));
   if (n == 0) return out;
 
   // Both passes must see the same decomposition: resolve it once through
   // the shared planner.
-  detail::bulk_plan const plan = detail::plan_bulk(policy, n);
+  bulk_plan const plan = plan_bulk(policy, n);
   std::size_t const num_chunks = plan.num_chunks;
 
-  // Pass 1: local scans into the output, recording each chunk's total.
-  std::vector<T> totals(num_chunks, init);
-  detail::bulk_run(policy, *plan.sched, n, num_chunks,
-                   [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
-                     T acc = first[static_cast<std::ptrdiff_t>(lo)];
-                     out[static_cast<std::ptrdiff_t>(lo)] = acc;
-                     for (std::size_t i = lo + 1; i < hi; ++i) {
-                       acc = op(std::move(acc),
-                                first[static_cast<std::ptrdiff_t>(i)]);
-                       out[static_cast<std::ptrdiff_t>(i)] = acc;
-                     }
-                     totals[chunk] = std::move(acc);
-                   });
+  chunk_slots<T> offsets(num_chunks, {init});
+  bulk_run(policy, *plan.sched, n, num_chunks,
+           [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
+             T acc = first[static_cast<std::ptrdiff_t>(lo)];
+             for (std::size_t i = lo + 1; i < hi; ++i)
+               acc = op(std::move(acc), first[static_cast<std::ptrdiff_t>(i)]);
+             offsets[chunk].value = std::move(acc);
+           });
 
-  // Serial pass over chunk totals -> exclusive offsets.
-  std::vector<T> offsets(num_chunks, init);
   T running = std::move(init);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    offsets[c] = running;
-    running = op(std::move(running), std::move(totals[c]));
+  for (auto& slot : offsets) {
+    T total = std::exchange(slot.value, running);
+    running = op(std::move(running), std::move(total));
   }
 
-  // Pass 2: add offsets (chunk 0 keeps only init).
-  detail::bulk_run(policy, *plan.sched, n, num_chunks,
-                   [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
-                     T const& off = offsets[chunk];
-                     for (std::size_t i = lo; i < hi; ++i)
-                       out[static_cast<std::ptrdiff_t>(i)] =
-                           op(T(off), std::move(out[static_cast<
-                                                    std::ptrdiff_t>(i)]));
-                   });
+  bulk_run(policy, *plan.sched, n, num_chunks,
+           [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
+             T acc = offsets[chunk].value;
+             for (std::size_t i = lo; i < hi; ++i) {
+               auto const at = static_cast<std::ptrdiff_t>(i);
+               if constexpr (Inclusive) {
+                 acc = op(std::move(acc), first[at]);
+                 out[at] = acc;
+               } else {
+                 T next = op(T(acc), first[at]);
+                 out[at] = std::move(acc);
+                 acc = std::move(next);
+               }
+             }
+           });
   return out + static_cast<std::ptrdiff_t>(n);
+}
+
+}  // namespace detail
+
+template <typename InIt, typename OutIt, typename T, typename Op>
+OutIt inclusive_scan(execution::parallel_policy const& policy, InIt first,
+                     InIt last, OutIt out, T init, Op op) {
+  return detail::chunked_scan<true>(policy, first, last, out,
+                                    std::move(init), op);
 }
 
 template <typename InIt, typename OutIt, typename T, typename Op>
@@ -83,20 +98,8 @@ OutIt exclusive_scan(execution::sequenced_policy, InIt first, InIt last,
 template <typename InIt, typename OutIt, typename T, typename Op>
 OutIt exclusive_scan(execution::parallel_policy const& policy, InIt first,
                      InIt last, OutIt out, T init, Op op) {
-  auto const n = static_cast<std::size_t>(std::distance(first, last));
-  if (n == 0) return out;
-  // inclusive scan, then shift right by one in parallel (reading the
-  // inclusive value at i-1).
-  std::vector<T> inclusive(n);
-  parallel::inclusive_scan(policy, first, last, inclusive.begin(), init,
-                           op);
-  detail::bulk_run(policy, n,
-                   [&](std::size_t lo, std::size_t hi, std::size_t) {
-                     for (std::size_t i = lo; i < hi; ++i)
-                       out[static_cast<std::ptrdiff_t>(i)] =
-                           i == 0 ? init : inclusive[i - 1];
-                   });
-  return out + static_cast<std::ptrdiff_t>(n);
+  return detail::chunked_scan<false>(policy, first, last, out,
+                                     std::move(init), op);
 }
 
 }  // namespace px::parallel

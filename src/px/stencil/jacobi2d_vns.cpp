@@ -1,7 +1,5 @@
 #include "px/stencil/jacobi2d_vns.hpp"
 
-#include "px/support/env.hpp"
-
 namespace px::stencil {
 
 char const* vns_abi_name(vns_abi a) noexcept {
@@ -18,21 +16,6 @@ char const* vns_abi_name(vns_abi a) noexcept {
   }
 }
 
-std::optional<vns_abi> parse_vns_abi(std::string_view token) noexcept {
-  if (token == "neon128") return vns_abi::neon128;
-  if (token == "avx2") return vns_abi::avx2;
-  if (token == "sve512") return vns_abi::sve512;
-  if (token == "native") return vns_abi::native;
-  return std::nullopt;
-}
-
-std::optional<vns_abi> vns_abi_from_env() {
-  if (auto t =
-          env_token("PX_SIMD_ABI", {"neon128", "avx2", "sve512", "native"}))
-    return parse_vns_abi(*t);
-  return std::nullopt;
-}
-
 std::size_t vns_abi_vector_bits(vns_abi a) noexcept {
   switch (a) {
     case vns_abi::neon128:
@@ -45,45 +28,6 @@ std::size_t vns_abi_vector_bits(vns_abi a) noexcept {
     default:
       return simd::abi::native_vector_bits;
   }
-}
-
-namespace {
-
-template <typename T>
-jacobi2d_result vns_par(vns_abi abi, std::size_t nx, std::size_t ny,
-                        std::size_t steps) {
-  field2d<T> init(nx, ny);
-  init_dirichlet_problem(init);
-  return run_jacobi2d_vns<T>(execution::par, abi, init, steps).timing;
-}
-
-template <typename T>
-jacobi2d_result auto_par(std::size_t nx, std::size_t ny, std::size_t steps) {
-  field2d<T> init(nx, ny);
-  init_dirichlet_problem(init);
-  return run_jacobi2d_auto<T>(execution::par, init, steps).timing;
-}
-
-}  // namespace
-
-jacobi2d_result run_jacobi2d_vns_par_f32(vns_abi abi, std::size_t nx,
-                                         std::size_t ny, std::size_t steps) {
-  return vns_par<float>(abi, nx, ny, steps);
-}
-
-jacobi2d_result run_jacobi2d_vns_par_f64(vns_abi abi, std::size_t nx,
-                                         std::size_t ny, std::size_t steps) {
-  return vns_par<double>(abi, nx, ny, steps);
-}
-
-jacobi2d_result run_jacobi2d_auto_par_f32(std::size_t nx, std::size_t ny,
-                                          std::size_t steps) {
-  return auto_par<float>(nx, ny, steps);
-}
-
-jacobi2d_result run_jacobi2d_auto_par_f64(std::size_t nx, std::size_t ny,
-                                          std::size_t steps) {
-  return auto_par<double>(nx, ny, steps);
 }
 
 }  // namespace px::stencil

@@ -3,15 +3,13 @@
 // field2d<pack<T, W>> solves, parameterized over the px::simd::abi presets
 // (neon128 / avx2 / sve512 / native) at run time. The generic 5-point
 // kernel is jacobi2d_row_update — identical code for scalar and pack cells;
-// this header adds the ABI selection layer (a runtime enum, strict
-// PX_SIMD_ABI env parsing, and a visitor that maps the enum onto the
-// compile-time pack type) plus turnkey runners that start from a scalar
-// field and return the final interior for validation.
+// this header adds the ABI selection layer (a runtime enum and a visitor
+// that maps the enum onto the compile-time pack type) plus turnkey runners
+// that start from a scalar field and return the final interior for
+// validation.
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -28,11 +26,6 @@ inline constexpr vns_abi vns_abi_presets[] = {
     vns_abi::neon128, vns_abi::avx2, vns_abi::sve512, vns_abi::native};
 
 [[nodiscard]] char const* vns_abi_name(vns_abi a) noexcept;
-[[nodiscard]] std::optional<vns_abi> parse_vns_abi(
-    std::string_view token) noexcept;
-// PX_SIMD_ABI: strict token in {neon128, avx2, sve512, native} (env_token
-// semantics — exact match, anything else is ignored as malformed).
-[[nodiscard]] std::optional<vns_abi> vns_abi_from_env();
 [[nodiscard]] std::size_t vns_abi_vector_bits(vns_abi a) noexcept;
 
 template <typename T>
@@ -110,24 +103,5 @@ vns_run_result<T> run_jacobi2d_auto(Policy const& policy,
   r.interior = interior_snapshot(r.timing.final_index == 0 ? u0 : u1);
   return r;
 }
-
-// Non-template entry points (compiled in jacobi2d_vns.cpp) used by the
-// bench suite: the fig4 Dirichlet problem at (nx, ny), `steps` sweeps on
-// the px::execution::par policy inside the caller's runtime. These also
-// anchor the explicit instantiations of every preset x precision.
-[[nodiscard]] jacobi2d_result run_jacobi2d_vns_par_f32(vns_abi abi,
-                                                       std::size_t nx,
-                                                       std::size_t ny,
-                                                       std::size_t steps);
-[[nodiscard]] jacobi2d_result run_jacobi2d_vns_par_f64(vns_abi abi,
-                                                       std::size_t nx,
-                                                       std::size_t ny,
-                                                       std::size_t steps);
-[[nodiscard]] jacobi2d_result run_jacobi2d_auto_par_f32(std::size_t nx,
-                                                        std::size_t ny,
-                                                        std::size_t steps);
-[[nodiscard]] jacobi2d_result run_jacobi2d_auto_par_f64(std::size_t nx,
-                                                        std::size_t ny,
-                                                        std::size_t steps);
 
 }  // namespace px::stencil

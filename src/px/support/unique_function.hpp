@@ -2,10 +2,10 @@
 // Move-only type-erased callable with small-buffer optimisation.
 //
 // Tasks capture promises and other move-only state, which std::function
-// cannot hold. The SBO size is chosen so the common task payloads measured
-// by px_bench_suite — stencil chunk continuations and futurized bodies,
-// which capture up to eight pointer-sized values (two field pointers, grid
-// geometry, a promise) — construct in place. At four pointers the six-to-
+// cannot hold. The SBO size is chosen so the common task payloads —
+// stencil chunk continuations and futurized bodies, which capture up to
+// eight pointer-sized values (two field pointers, grid geometry, a
+// promise) — construct in place. At four pointers the six-to-
 // eight-pointer captures each cost a heap round trip per spawn, the single
 // largest term in the spawn-latency microbench; at eight the steady-state
 // spawn path allocates nothing. The extra 32 bytes ride in the pooled task

@@ -375,13 +375,14 @@ px::dist::domain_config coalesce_cfg(bool compress = false) {
   return cfg;
 }
 
-TEST(Coalescing, ManySmallParcelsRideFewFrames) {
+// 160 fire-and-forget parcels from locality 0 to 1; returns the frames
+// they put on the wire.
+std::uint64_t many_small_parcels_frames(px::dist::domain_config const& cfg) {
   auto const before_frames = builtin().net_frames_on_wire.load();
-  auto const before_coalesced = builtin().net_coalesced_parcels.load();
   sink_hits.store(0);
   {
-    px::dist::distributed_domain dom(coalesce_cfg());
-    ASSERT_TRUE(dom.coalescing());
+    px::dist::distributed_domain dom(cfg);
+    EXPECT_EQ(dom.coalescing(), cfg.coalescing.enabled);
     dom.run([](px::dist::locality& loc0) {
       for (int i = 0; i < 160; ++i) loc0.apply<&coalesce_sink>(1, i);
       return 0;
@@ -389,7 +390,12 @@ TEST(Coalescing, ManySmallParcelsRideFewFrames) {
     dom.wait_all_quiescent();
   }
   EXPECT_EQ(sink_hits.load(), 160);
-  auto const frames = builtin().net_frames_on_wire.load() - before_frames;
+  return builtin().net_frames_on_wire.load() - before_frames;
+}
+
+TEST(Coalescing, ManySmallParcelsRideFewFrames) {
+  auto const before_coalesced = builtin().net_coalesced_parcels.load();
+  auto const frames = many_small_parcels_frames(coalesce_cfg());
   auto const coalesced =
       builtin().net_coalesced_parcels.load() - before_coalesced;
   EXPECT_EQ(coalesced, 160u);
@@ -397,6 +403,14 @@ TEST(Coalescing, ManySmallParcelsRideFewFrames) {
   // must be far below one-per-parcel.
   EXPECT_LE(frames, 40u);
   EXPECT_GE(frames, 10u);
+
+  // The same traffic uncoalesced: coalescing must cut frames on the wire
+  // at least 5x.
+  auto off_cfg = coalesce_cfg();
+  off_cfg.coalescing.enabled = false;
+  auto const off_frames = many_small_parcels_frames(off_cfg);
+  EXPECT_GE(off_frames, 5 * frames)
+      << "coalesced " << frames << " frames vs " << off_frames << " without";
 }
 
 TEST(Coalescing, SizeThresholdFlushes) {
@@ -544,7 +558,10 @@ TEST(Coalescing, LossyCoalescedHeatBitwiseIdentical) {
   // solver must still be bitwise identical to the clean run.
   auto initial = px::stencil::heat1d_sine_initial(401);
   px::stencil::dist_heat_config hc;
-  hc.steps = 12;
+  // Every step's explicit flush puts at least one frame on each link, and
+  // seed 4242's first drop on link 0->1 is that link's 21st frame: 24
+  // steps draw a drop however early or late the deadline flushes fire.
+  hc.steps = 24;
 
   px::dist::domain_config clean;
   clean.num_localities = 2;

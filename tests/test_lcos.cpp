@@ -211,12 +211,14 @@ TEST_F(LcoTest, MutexHolderCanSuspend) {
   std::atomic<bool> slow_done{false};
   rt.post([&] {
     std::lock_guard<px::mutex> guard(m);
+    // The contender starts only once the lock is held: two independent
+    // posts may run in either order on a multi-worker pool.
+    rt.post([&] {
+      std::lock_guard<px::mutex> contender(m);
+      EXPECT_TRUE(slow_done.load());  // only acquired after the sleeper left
+    });
     px::this_task::sleep_for(std::chrono::milliseconds(20));
     slow_done.store(true);
-  });
-  rt.post([&] {
-    std::lock_guard<px::mutex> guard(m);
-    EXPECT_TRUE(slow_done.load());  // only acquired after the sleeper left
   });
   rt.wait_quiescent();
 }

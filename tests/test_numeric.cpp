@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "px/px.hpp"
+#include "px/support/random.hpp"
 
 namespace {
 
@@ -104,6 +105,40 @@ TEST_F(NumericTest, ExclusiveScanFirstElementIsInit) {
     return 0;
   });
   EXPECT_EQ(got, (std::vector<int>{1, 6, 12}));
+}
+
+// Regression: with T = bool the scans' per-chunk totals (and
+// exclusive_scan's old scratch row) were std::vector<bool>, whose
+// neighbouring bits share a word that concurrent chunks raced on.
+// Oversubscribed workers make the chunks write together.
+TEST(ScanRace, BoolScansMatchSequential) {
+  px::scheduler_config c;
+  c.num_workers = 16;
+  px::runtime rt(c);
+  std::vector<int> in(4096);
+  px::xoshiro256ss rng(5);
+  for (auto& x : in) x = rng.below(2) != 0 ? 1 : 0;
+  auto const parity = [](bool a, bool b) { return a != b; };
+  std::vector<int> inc_expect(in.size()), exc_expect(in.size());
+  std::inclusive_scan(in.begin(), in.end(), inc_expect.begin(), parity,
+                      false);
+  std::exclusive_scan(in.begin(), in.end(), exc_expect.begin(), true,
+                      parity);
+  int const rounds = 200;
+  int const wrong = px::sync_wait(rt, [&] {
+    int w = 0;
+    std::vector<int> got(in.size());
+    for (int r = 0; r < rounds; ++r) {
+      px::parallel::inclusive_scan(px::execution::par, in.begin(), in.end(),
+                                   got.begin(), false, parity);
+      w += got != inc_expect;
+      px::parallel::exclusive_scan(px::execution::par, in.begin(), in.end(),
+                                   got.begin(), true, parity);
+      w += got != exc_expect;
+    }
+    return w;
+  });
+  EXPECT_EQ(wrong, 0) << "of " << 2 * rounds << " scans";
 }
 
 TEST_F(NumericTest, ScanInPlace) {

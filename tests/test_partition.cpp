@@ -624,4 +624,67 @@ TEST(Fencing, HeatCheckpointsSkipOnFencedHostsAndCountRefusals) {
   EXPECT_EQ(out.values, baseline.values);
 }
 
+// A checkpointed 5-locality heat solve rides out a {0,1,2}|{3,4} cut that
+// heals well inside the confirm threshold, on a clean fabric (no link
+// faults, no coalescing, no wire sleeps). Quorum membership must recover
+// with nothing but the heal: no confirm-kill, no rollback, the answer
+// bitwise equal to a fault-free run, and every fence cleared.
+// TorturePartition.HealedPartitionHeatStaysBitwiseIdentical sweeps the same
+// cut over a lossy, coalescing fabric.
+TEST(Quorum, HealedPartitionOnCleanFabricNeedsOnlyTheHeal) {
+  auto const initial = px::stencil::heat1d_sine_initial(151);
+  px::stencil::dist_heat_config hc;
+  hc.steps = 300;
+  hc.checkpoint_interval = 25;
+
+  px::dist::distributed_domain clean_dom(plain_cfg(5));
+  auto const baseline =
+      px::stencil::run_distributed_heat1d(clean_dom, initial, hc);
+  clean_dom.wait_all_quiescent();
+
+  px::dist::domain_config cfg = plain_cfg(5);
+  cfg.reliability.activation = px::net::reliability_config::mode::on;
+  cfg.reliability.initial_backoff_us = 1'000.0;
+  cfg.reliability.backoff_multiplier = 2.0;
+  cfg.reliability.max_backoff_us = 50'000.0;
+  cfg.reliability.max_retries = 64;
+  cfg.resilience.enabled = true;
+  cfg.resilience.heartbeat_interval_us = 2'000.0;
+  cfg.resilience.suspect_after_us = 100'000.0;
+  cfg.resilience.confirm_after_us = 600'000.0;
+  px::dist::distributed_domain dom(cfg);
+
+  // The cut starts at step 100, so it lands mid-solve however fast the
+  // host is; it heals by wall clock 250 ms later, since a cut that stalls
+  // the halo exchanges stalls the step feed too.
+  auto& faults = dom.fabric().faults();
+  px::net::partition_spec spec;
+  spec.side_a = {0, 1, 2};
+  spec.side_b = {3, 4};
+  (void)faults.partition_at_step(spec, 100);
+  auto const confirms0 = builtin().resilience_confirms.load();
+  std::thread healer([&faults] {
+    if (eventually(30'000, [&] { return faults.active_partitions() > 0; }))
+      std::this_thread::sleep_for(250ms);
+    faults.heal_all_partitions();
+  });
+  px::stencil::dist_heat_result out;
+  try {
+    out = px::stencil::run_distributed_heat1d(dom, initial, hc);
+  } catch (...) {
+    healer.join();
+    throw;
+  }
+  healer.join();
+
+  EXPECT_EQ(faults.stats().partitions_triggered, 1u);
+  EXPECT_GT(faults.stats().partition_drops, 0u);
+  EXPECT_EQ(builtin().resilience_confirms.load() - confirms0, 0u);
+  EXPECT_EQ(out.recoveries, 0u);
+  EXPECT_EQ(out.values, baseline.values);
+  EXPECT_TRUE(
+      eventually(10'000, [&] { return !dom.membership().any_fenced(); }));
+  dom.wait_all_quiescent();
+}
+
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <numeric>
 #include <vector>
 
@@ -51,6 +52,30 @@ TEST_F(QuerySortTest, AllAnyNone) {
   EXPECT_TRUE(std::get<0>(r));
   EXPECT_TRUE(std::get<1>(r));
   EXPECT_TRUE(std::get<2>(r));
+}
+
+// Regression: transform_reduce kept its per-chunk partials in a
+// std::vector<T>, which for T = bool packs neighbouring chunks' partials
+// into one word. Chunks finishing together then raced on that word and an
+// any_of could lose its only `true`. Oversubscribed workers (8 on a
+// 4-CPU host) make chunks finish together; the race is rare per call, so
+// the stress runs for at least a second and 2000 calls.
+TEST(QueryRace, AnyOfNeverLosesALoneMatch) {
+  px::scheduler_config c;
+  c.num_workers = 8;
+  px::runtime rt(c);
+  std::vector<int> v(4096, 0);
+  v[2048] = 1;
+  auto const [calls, missed] = px::sync_wait(rt, [&] {
+    auto const until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    int n = 0, m = 0;
+    for (; n < 2000 || std::chrono::steady_clock::now() < until; ++n)
+      m += !px::parallel::any_of(px::execution::par, v.begin(), v.end(),
+                                 [](int x) { return x == 1; });
+    return std::make_pair(n, m);
+  });
+  EXPECT_EQ(missed, 0) << "of " << calls << " calls";
 }
 
 TEST_F(QuerySortTest, MinMaxElement) {

@@ -299,6 +299,45 @@ TEST(Rebalance, SkewedClusterRebalanceBeatsStaticAt256) {
   EXPECT_GT(reb.migration_s, 0.0);
 }
 
+// p99 over per-step modeled times: every round contributes
+// steps_per_round equal samples.
+double model_p99_step_s(std::vector<double> const& rounds,
+                        std::size_t steps_per_round) {
+  std::vector<double> v;
+  v.reserve(rounds.size() * steps_per_round);
+  for (double s : rounds) v.insert(v.end(), steps_per_round, s);
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  return v[(v.size() * 99 + 99) / 100 - 1];  // rank ceil(0.99 n), 1-based
+}
+
+TEST(Rebalance, SkewedClusterRebalanceCutsP99StepTimeAt256) {
+  // Blocked placement stacks the zipf head on the low nodes; the tail
+  // step time is what a skewed cluster pays, so the rebalancer must cut
+  // the modeled p99 step time below static placement's.
+  auto const m = px::arch::a64fx();
+  auto const fab = px::arch::fabric_for(m);
+  px::arch::skewed_cluster_config cfg;
+  cfg.nodes = 256;
+  cfg.partitions = 1024;
+  cfg.rounds = 128;
+  cfg.steps_per_round = 8;
+  cfg.placement = px::arch::skewed_placement::blocked;
+  cfg.policy.max_moves_per_pass = 16;
+
+  px::arch::skewed_cluster_config static_cfg = cfg;
+  static_cfg.rebalance = false;
+  auto const stat = px::arch::simulate_skewed_cluster(m, fab, static_cfg);
+  auto const reb = px::arch::simulate_skewed_cluster(m, fab, cfg);
+  double const p99_static =
+      model_p99_step_s(stat.round_step_s, cfg.steps_per_round);
+  double const p99_reb =
+      model_p99_step_s(reb.round_step_s, cfg.steps_per_round);
+  EXPECT_LT(p99_reb, p99_static)
+      << "rebalanced p99 " << p99_reb * 1e3 << " ms, static "
+      << p99_static * 1e3 << " ms";
+}
+
 TEST(Rebalance, SkewedClusterScalesTo1024Localities) {
   auto const m = px::arch::thunderx2();
   auto const fab = px::arch::fabric_for(m);

@@ -141,11 +141,41 @@ void spawn_drain_cycle(px::runtime& rt, std::atomic<std::uint64_t>* delta) {
   ASSERT_TRUE(done.load(std::memory_order_acquire));
 }
 
+// Warm-up for the task-block inventory. Blocks cached in another worker's
+// local freelist (up to its cap) are invisible to the spawning worker, so a
+// spawn burst of `batch` is allocation-free only once batch + cap per
+// other worker blocks circulate. Plain spawn/drain cycles reach that level
+// only by chance (steals decide where blocks retire); one cycle that keeps
+// that many tasks alive at once reaches it for good, since the inventory
+// never shrinks below it.
+void grow_block_inventory(px::runtime& rt) {
+  int const cap = 128;  // task_freelist's default max_cached
+  int const live = batch + cap * static_cast<int>(cfg().num_workers - 1);
+  std::atomic<bool> done{false};
+  rt.post([&rt, &done, live] {
+    std::atomic<bool> release{false};
+    std::atomic<int> ran{0};
+    for (int i = 0; i < live; ++i) {
+      rt.sched().spawn([&release, &ran] {
+        while (!release.load(std::memory_order_acquire))
+          px::this_task::yield();
+        ran.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    release.store(true, std::memory_order_release);
+    while (ran.load(std::memory_order_relaxed) < live) px::this_task::yield();
+    done.store(true, std::memory_order_release);
+  });
+  rt.wait_quiescent();
+  ASSERT_TRUE(done.load(std::memory_order_acquire));
+}
+
 TEST(TaskPool, SteadyStateSpawnIsAllocationFree) {
   px::runtime rt(cfg());
-  // Warm-up: grow the deques, the stack pool and both pool levels to the
-  // working-set high-water mark. Several rounds so every worker's freelist
-  // has seen the batch.
+  // Warm-up: grow the task-block inventory past the level the measured
+  // cycle can need, then run ordinary cycles so the deques and the stack
+  // pool reach the working-set high-water mark too.
+  grow_block_inventory(rt);
   for (int round = 0; round < 4; ++round) spawn_drain_cycle(rt, nullptr);
 
   std::atomic<std::uint64_t> delta{~std::uint64_t{0}};
