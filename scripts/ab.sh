@@ -12,12 +12,16 @@
 # pairs (default 5) runs every BENCHMARK.json workload once per tree, at
 # run_seconds, with the pair number as seed; odd pairs run the base first,
 # even pairs this tree. Per workload and end-to-end metric the table shows
-# both medians, the change, the base's spread (interquartile range over
-# median, statistics.quantiles n=4, as pxbench/README.md measures it) and
-# a verdict:
+# both medians, the change, each side's quartiles q1-q3
+# (statistics.quantiles n=4, as pxbench/README.md measures them), how many
+# of the pairs run this tree won (ties count for neither side), the base's
+# spread (interquartile range over median) and a verdict:
 #   worse       the base's spread is inside the metric's bound and the
 #               median is worse than the base's by more than the bound; a
 #               higher failed/attempted share than the base's is worse too
+#   better      this tree won at least 9/10 of the pairs run and its
+#               median beats the base's by more than the base's
+#               interquartile range: the rule a claimed gain must meet
 #   unresolved  the base's spread is wider than the bound, so this host
 #               cannot tell, and not every run of this tree beats every
 #               run of the base
@@ -69,8 +73,8 @@ run_one() {
     '{'*) ;;
     *) summary='{"attempted": 1, "failed": 1, "metrics": {}}' ;;
   esac
-  printf '{"side": "%s", "workload": "%s", "summary": %s}\n' \
-    "$side" "$w" "$summary" >>"$log"
+  printf '{"side": "%s", "workload": "%s", "pair": %s, "summary": %s}\n' \
+    "$side" "$w" "$seed" "$summary" >>"$log"
   echo "ab.sh: pair $seed $w $side done" >&2
 }
 
@@ -95,42 +99,51 @@ log, sha, pairs = sys.argv[1:4]
 spec = json.load(open("BENCHMARK.json"))
 runs = [json.loads(line) for line in open(log)]
 
-def side_runs(side, w):
-    return [r["summary"] for r in runs
-            if r["side"] == side and r["workload"] == w]
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
 
 def spread(values):
     if len(values) < 2:
         return float("inf")
-    q1, _, q3 = statistics.quantiles(values, n=4)
+    q1, q3 = quartiles(values)
     med = statistics.median(values)
     return (q3 - q1) / med if med else float("inf")
 
+def by_pair(rs, name):
+    return {r["pair"]: r["summary"]["metrics"][name]["value"] for r in rs
+            if name in r["summary"].get("metrics", {})}
+
 print("A/B of %s (base) against this tree: %s pairs per workload"
       % (sha[:12], pairs))
-print("%-18s %-15s %12s %12s %8s %8s %6s  %s" % (
-    "workload", "metric", "base", "head", "change", "spread", "bound",
-    "verdict"))
+row = "%-18s %-15s %10s %10s %8s %21s %21s %5s %7s %5s  %s"
+print(row % ("workload", "metric", "base", "head", "change", "base q1-q3",
+             "head q1-q3", "won", "spread", "bound", "verdict"))
 worse = 0
 for wl in spec["workloads"]:
     w = wl["name"]
-    base, head = side_runs("base", w), side_runs("head", w)
+    base = [r for r in runs if r["side"] == "base" and r["workload"] == w]
+    head = [r for r in runs if r["side"] == "head" and r["workload"] == w]
     for m in spec["end_to_end"]:
         name, bound = m["name"], m["bound"]
-        bv = [r["metrics"][name]["value"] for r in base
-              if name in r.get("metrics", {})]
-        hv = [r["metrics"][name]["value"] for r in head
-              if name in r.get("metrics", {})]
+        bp, hp = by_pair(base, name), by_pair(head, name)
+        bv, hv = list(bp.values()), list(hp.values())
         if not bv or not hv:
             # Only runs without a summary lack metrics; the failed_share
             # row below counts them.
-            print("%-18s %-15s %12s %12s %8s %8s %6.2f  %s" % (
-                w, name, "-", "-", "-", "-", bound, "ok"))
+            print(row % (w, name, "-", "-", "-", "-", "-", "-", "-",
+                         "%.2f" % bound, "ok"))
             continue
         bm, hm = statistics.median(bv), statistics.median(hv)
         change = (hm - bm) / bm if bm else 0.0
         lower = m["better"] == "lower"
         loss = change if lower else -change
+        bq, hq = quartiles(bv), quartiles(hv)
+        won = sum(1 for p in bp if p in hp and
+                  (hp[p] < bp[p] if lower else hp[p] > bp[p]))
+        gain = bm - hm if lower else hm - bm
         sp = spread(bv)
         if sp <= bound:
             verdict = "worse" if loss > bound else "ok"
@@ -138,19 +151,25 @@ for wl in spec["workloads"]:
             verdict = "ok"
         else:
             verdict = "unresolved"
+        if verdict != "worse" and won >= 0.9 * int(pairs) and \
+                gain > bq[1] - bq[0]:
+            verdict = "better"
         worse += verdict == "worse"
-        print("%-18s %-15s %12.4g %12.4g %+7.1f%% %8.3f %6.2f  %s" % (
-            w, name, bm, hm, 100 * change, sp, bound, verdict))
+        print(row % (w, name, "%.4g" % bm, "%.4g" % hm,
+                     "%+.1f%%" % (100 * change),
+                     "%.4g-%.4g" % bq, "%.4g-%.4g" % hq,
+                     "%d/%s" % (won, pairs), "%.3f" % sp, "%.2f" % bound,
+                     verdict))
 
     def share(rs):
-        attempted = sum(r.get("attempted", 0) for r in rs)
-        return sum(r.get("failed", 0) for r in rs) / attempted \
+        attempted = sum(r["summary"].get("attempted", 0) for r in rs)
+        return sum(r["summary"].get("failed", 0) for r in rs) / attempted \
             if attempted else 1.0
     bs, hs = share(base), share(head)
     verdict = "worse" if hs > bs else "ok"
     worse += verdict == "worse"
-    print("%-18s %-15s %12.4g %12.4g %8s %8s %6s  %s" % (
-        w, "failed_share", bs, hs, "-", "-", "-", verdict))
+    print(row % (w, "failed_share", "%.4g" % bs, "%.4g" % hs, "-", "-",
+                 "-", "-", "-", "-", verdict))
 
 print("ab.sh: %d worse" % worse)
 sys.exit(1 if worse else 0)

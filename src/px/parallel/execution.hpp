@@ -65,8 +65,11 @@ class parallel_policy {
 
 inline constexpr parallel_policy par{};
 
-// Chunking heuristic: over-decompose 8x relative to the worker count so the
-// stealing scheduler can absorb imbalance, but never below 1 element.
+// Chunk count without `.with()`: 8x the worker count, so stealing can
+// absorb imbalance, and never more chunks than elements. A bound executor
+// spawns one task per chunk; plain `par` sizes its tasks from a timed
+// leading slice and uses this only as the cap on tasks per call (see
+// parallel::detail::plan_bulk).
 [[nodiscard]] inline std::size_t auto_num_chunks(std::size_t n,
                                                  std::size_t workers) {
   if (n == 0) return 0;

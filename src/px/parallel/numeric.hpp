@@ -39,10 +39,9 @@ OutIt chunked_scan(execution::parallel_policy const& policy, InIt first,
   // Both passes must see the same decomposition: resolve it once through
   // the shared planner.
   bulk_plan const plan = plan_bulk(policy, n);
-  std::size_t const num_chunks = plan.num_chunks;
 
-  chunk_slots<T> offsets(num_chunks, {init});
-  bulk_run(policy, *plan.sched, n, num_chunks,
+  chunk_slots<T> offsets(plan.num_chunks, {init});
+  bulk_run(policy, plan, n,
            [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
              T acc = first[static_cast<std::ptrdiff_t>(lo)];
              for (std::size_t i = lo + 1; i < hi; ++i)
@@ -56,7 +55,7 @@ OutIt chunked_scan(execution::parallel_policy const& policy, InIt first,
     running = op(std::move(running), std::move(total));
   }
 
-  bulk_run(policy, *plan.sched, n, num_chunks,
+  bulk_run(policy, plan, n,
            [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
              T acc = offsets[chunk].value;
              for (std::size_t i = lo; i < hi; ++i) {

@@ -67,7 +67,7 @@ It min_element(execution::parallel_policy const& policy, It first, It last,
   // array and drives the chunk tasks.
   detail::bulk_plan const plan = detail::plan_bulk(policy, n);
   std::vector<std::size_t> winners(plan.num_chunks, 0);
-  detail::bulk_run(policy, *plan.sched, n, plan.num_chunks,
+  detail::bulk_run(policy, plan, n,
                    [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
                      std::size_t best = lo;
                      for (std::size_t i = lo + 1; i < hi; ++i)
@@ -98,7 +98,7 @@ It find_if(execution::parallel_policy const& policy, It first, It last,
   if (n == 0) return last;
   std::atomic<std::size_t> best{n};
   detail::bulk_run(policy, n,
-                   [&](std::size_t lo, std::size_t hi, std::size_t) {
+                   [&](std::size_t lo, std::size_t hi) {
                      // Skip chunks entirely beyond an already-found match.
                      if (lo >= best.load(std::memory_order_relaxed)) return;
                      for (std::size_t i = lo; i < hi; ++i) {

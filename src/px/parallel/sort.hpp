@@ -41,12 +41,12 @@ void sort(execution::parallel_policy const& policy, It first, It last,
     return;
   }
 
-  // Sort the runs in parallel: one bulk_run chunk per run (the explicit
-  // chunk count pins the decomposition the merge tree assumes).
+  // Sort the runs in parallel: a fixed plan spawns one task per run (the
+  // merge tree assumes this decomposition, and runs are already coarse).
   auto run_bounds = [n, runs](std::size_t r) {
     return detail::chunk_bounds(n, runs, r);
   };
-  detail::bulk_run(policy, sched, n, runs,
+  detail::bulk_run(policy, {&sched, runs, false}, n,
                    [&](std::size_t lo, std::size_t hi, std::size_t) {
                      std::sort(first + static_cast<std::ptrdiff_t>(lo),
                                first + static_cast<std::ptrdiff_t>(hi),
@@ -64,7 +64,7 @@ void sort(execution::parallel_policy const& policy, It first, It last,
   while (width < runs) {
     std::size_t const merges = div_ceil(runs, 2 * width);
     detail::bulk_run(
-        policy, sched, merges, merges,
+        policy, {&sched, merges, false}, merges,
         [&](std::size_t mlo, std::size_t mhi, std::size_t) {
           for (std::size_t m = mlo; m < mhi; ++m) {
             std::size_t const lo_run = m * 2 * width;
@@ -85,7 +85,7 @@ void sort(execution::parallel_policy const& policy, It first, It last,
   if (in_buffer) {
     // Final copy back into the caller's range, in parallel.
     detail::bulk_run(policy, n,
-                     [&](std::size_t lo, std::size_t hi, std::size_t) {
+                     [&](std::size_t lo, std::size_t hi) {
                        std::copy(a + lo, a + hi,
                                  first + static_cast<std::ptrdiff_t>(lo));
                      });
@@ -99,7 +99,7 @@ template <typename It, typename Compare = std::less<>>
   if (n < 2) return true;
   std::atomic<bool> sorted{true};
   detail::bulk_run(policy, n - 1,
-                   [&](std::size_t lo, std::size_t hi, std::size_t) {
+                   [&](std::size_t lo, std::size_t hi) {
                      for (std::size_t i = lo; i < hi; ++i)
                        if (comp(first[static_cast<std::ptrdiff_t>(i + 1)],
                                 first[static_cast<std::ptrdiff_t>(i)])) {

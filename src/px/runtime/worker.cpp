@@ -1,9 +1,12 @@
 #include "px/runtime/worker.hpp"
 
+#include <atomic>
 #include <chrono>
+#include <optional>
 
 #include "px/runtime/scheduler.hpp"
 #include "px/runtime/trace.hpp"
+#include "px/support/affinity.hpp"
 #include "px/support/assert.hpp"
 #include "px/support/spin.hpp"
 #include "px/torture/torture.hpp"
@@ -16,6 +19,15 @@ thread_local worker* tls_worker = nullptr;
 // Drain injections at least this often even when local work never dries up,
 // so yielded tasks and cross-thread wakes cannot starve.
 constexpr std::uint64_t injection_poll_period = 61;
+
+// How long an idle worker keeps polling, yielding the CPU between polls,
+// before it parks: longer than a halo wait or a call round trip, so those
+// do not pay an OS wake.
+constexpr auto idle_spin = std::chrono::microseconds(50);
+
+// Worker threads inside run(), over every scheduler in the process (the
+// localities of a distributed domain each have their own).
+std::atomic<std::size_t> running_workers{0};
 
 }  // namespace
 
@@ -30,24 +42,43 @@ worker::worker(scheduler& sched, std::size_t index, std::size_t numa_domain,
 }
 
 void worker::run() {
+  using clock = std::chrono::steady_clock;
   tls_worker = this;
+  running_workers.fetch_add(1, std::memory_order_relaxed);
   backoff idle_backoff;
+  // When this idle period's spin began. Only running a task clears it, so
+  // a park that times out with nothing to do is followed by the backoff
+  // and another park, not by a fresh spin every 2 ms.
+  std::optional<clock::time_point> spin_start;
   while (true) {
     task* t = find_work();
     if (t != nullptr) {
       idle_backoff.reset();
+      spin_start.reset();
       execute(t);
       continue;
     }
     if (sched_.stop_requested()) break;
     ++stats_.failed_steal_rounds;
-    if (idle_backoff.yielding()) {
-      park();
-      idle_backoff.reset();
-    } else {
+    if (!idle_backoff.yielding()) {
       idle_backoff.pause();
+      continue;
     }
+    // Backoff spent: keep polling for up to idle_spin, each pause() now a
+    // sched_yield. Yielding matters: a pause-only spin delayed the timer
+    // thread that fires retransmission timeouts and coalescing deadlines.
+    auto const now = clock::now();
+    if (!spin_start) spin_start = now;
+    if (now - *spin_start < idle_spin &&
+        idle_spin_allowed(running_workers.load(std::memory_order_relaxed),
+                          px::hardware_concurrency())) {
+      idle_backoff.pause();
+      continue;
+    }
+    park();
+    idle_backoff.reset();
   }
+  running_workers.fetch_sub(1, std::memory_order_relaxed);
   tls_worker = nullptr;
 }
 

@@ -1,7 +1,8 @@
 // px/runtime/worker.hpp
 // One worker per OS thread. Owns a Chase–Lev deque of ready tasks and an
 // MPSC injection queue for wakes/yields, steals from siblings when idle,
-// and parks on its own condition variable when the whole pool runs dry.
+// spins briefly and then parks on its own condition variable when the
+// whole pool runs dry.
 #pragma once
 
 #include <condition_variable>
@@ -21,6 +22,16 @@ class scheduling_policy;
 namespace px::rt {
 
 class scheduler;
+
+// Whether an idle worker may spin (poll with sched_yield between polls)
+// before it parks: only when the process may run on more than one hardware
+// thread and runs no more workers, over all its schedulers, than it has
+// hardware threads. A spin never takes a core from a worker that has work,
+// and a 1-core host never spins.
+[[nodiscard]] constexpr bool idle_spin_allowed(
+    std::size_t running_workers, std::size_t hardware_threads) noexcept {
+  return hardware_threads > 1 && running_workers <= hardware_threads;
+}
 
 struct worker_stats {
   std::uint64_t tasks_executed = 0;

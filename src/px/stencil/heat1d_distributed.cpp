@@ -165,15 +165,6 @@ std::vector<std::uint64_t> heat_ckpt_report(px::dist::locality& here) {
   return out;
 }
 
-std::pair<std::size_t, std::size_t> block_bounds(std::size_t nx,
-                                                 std::size_t parts,
-                                                 std::size_t index) {
-  std::size_t const base = nx / parts;
-  std::size_t const extra = nx % parts;
-  std::size_t const lo = index * base + (index < extra ? index : extra);
-  return {lo, lo + base + (index < extra ? 1 : 0)};
-}
-
 // Advances one partition through steps [t0, t1). Runs wherever the
 // component lives; the neighbour GIDs route through the residence cache and
 // tombstone chain, so a neighbour's location never matters here.
@@ -188,8 +179,6 @@ void heat_round(px::dist::locality& here, agas::gid g, std::uint64_t t0,
   halo_mailboxes& mail = *self->mail;
   auto& faults = here.domain().fabric().faults();
   buffer next(n, 0.0);
-  std::size_t const chunks = std::min<std::size_t>(
-      here.sched().num_workers() * 4, std::max<std::size_t>(n / 512, 1));
 
   for (std::uint64_t t = t0; t < t1; ++t) {
     // Scheduled fail-stop triggers are keyed on application progress.
@@ -240,10 +229,8 @@ void heat_round(px::dist::locality& here, agas::gid g, std::uint64_t t0,
     here.domain().flush_coalescing();
 
     // 2. Interior: cells [1, n-1) need no remote data.
-    parallel::for_loop(execution::par, 0, chunks, [&](std::size_t i) {
-      auto const [lo, hi] = block_bounds(n - 2, chunks, i);
-      for (std::size_t x = 1 + lo; x < 1 + hi; ++x)
-        next[x] = heat_update(curr[x - 1], curr[x], curr[x + 1], k);
+    parallel::for_loop(execution::par, 1, n - 1, [&](std::size_t x) {
+      next[x] = heat_update(curr[x - 1], curr[x], curr[x + 1], k);
     });
     if (self->compute_cost != 0) {
       // Synthetic per-cell work, discarded: scales the step's compute

@@ -19,7 +19,16 @@ void name_this_thread(std::string const& name) noexcept {
 }
 
 std::size_t hardware_concurrency() noexcept {
-  unsigned n = std::thread::hardware_concurrency();
+  // Read once: sched_getaffinity(0) reports the calling thread's mask, and
+  // a pinned worker's mask is one CPU. The first call comes before any
+  // worker pins itself (scheduler::start reads host_topology() first).
+  static std::size_t const n = [] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+      return static_cast<std::size_t>(CPU_COUNT(&set));
+    return static_cast<std::size_t>(std::thread::hardware_concurrency());
+  }();
   return n == 0 ? 1 : n;
 }
 

@@ -17,7 +17,9 @@ bool pin_this_thread(std::size_t cpu) noexcept;
 // Names the calling thread for debuggers/perf (truncated to 15 chars).
 void name_this_thread(std::string const& name) noexcept;
 
-// Number of logical CPUs visible to this process.
+// Number of logical CPUs this process may run on: its affinity mask (so
+// `taskset -c 0` reads 1), else std::thread::hardware_concurrency(), and
+// never less than 1.
 std::size_t hardware_concurrency() noexcept;
 
 }  // namespace px

@@ -26,8 +26,9 @@ inline void cpu_relax() noexcept {
 }
 
 // Spins with geometric backoff, yielding the OS thread once the budget of
-// pause instructions is exhausted. On the single-core CI host, yielding
-// early is essential for forward progress.
+// pause instructions is exhausted. When runnable threads outnumber cores,
+// the thread being waited for may need this core; a spin that never
+// yields can hold it off for a whole scheduler time slice.
 class backoff {
  public:
   void pause() noexcept {

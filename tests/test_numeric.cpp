@@ -110,7 +110,9 @@ TEST_F(NumericTest, ExclusiveScanFirstElementIsInit) {
 // Regression: with T = bool the scans' per-chunk totals (and
 // exclusive_scan's old scratch row) were std::vector<bool>, whose
 // neighbouring bits share a word that concurrent chunks raced on.
-// Oversubscribed workers make the chunks write together.
+// Oversubscribed workers make the chunks write together. The explicit
+// grain keeps 128 chunk tasks (8 per worker): under plain `par` a scan
+// this cheap runs inline on the caller.
 TEST(ScanRace, BoolScansMatchSequential) {
   px::scheduler_config c;
   c.num_workers = 16;
@@ -129,11 +131,11 @@ TEST(ScanRace, BoolScansMatchSequential) {
     int w = 0;
     std::vector<int> got(in.size());
     for (int r = 0; r < rounds; ++r) {
-      px::parallel::inclusive_scan(px::execution::par, in.begin(), in.end(),
-                                   got.begin(), false, parity);
+      px::parallel::inclusive_scan(px::execution::par.with(32), in.begin(),
+                                   in.end(), got.begin(), false, parity);
       w += got != inc_expect;
-      px::parallel::exclusive_scan(px::execution::par, in.begin(), in.end(),
-                                   got.begin(), true, parity);
+      px::parallel::exclusive_scan(px::execution::par.with(32), in.begin(),
+                                   in.end(), got.begin(), true, parity);
       w += got != exc_expect;
     }
     return w;

@@ -2,8 +2,11 @@
 // sweeps covering empty, tiny, chunk-boundary and large inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "px/px.hpp"
@@ -148,6 +151,43 @@ TEST_F(ParallelTest, ExceptionInChunkPropagates) {
                std::runtime_error);
 }
 
+void busy_wait(std::chrono::microseconds d) {
+  auto const until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// A throw from a forked task, not the caller's own slice, reaches the
+// caller: the body is heavy enough that plain `par` forks, and the last
+// index runs in the last forked chunk. `.with(1)` forks every iteration.
+TEST_F(ParallelTest, ExceptionInForkedTaskPropagates) {
+  for (auto const& policy :
+       {px::execution::par, px::execution::par.with(1)}) {
+    std::uint64_t spawned = 0;
+    EXPECT_THROW(px::sync_wait(rt,
+                               [&] {
+                                 std::uint64_t const before =
+                                     rt.sched().tasks_spawned();
+                                 try {
+                                   px::parallel::for_loop(
+                                       policy, 0, 64, [](std::size_t i) {
+                                         busy_wait(
+                                             std::chrono::microseconds(20));
+                                         if (i == 63)
+                                           throw std::runtime_error("bad");
+                                       });
+                                 } catch (...) {
+                                   spawned =
+                                       rt.sched().tasks_spawned() - before;
+                                   throw;
+                                 }
+                                 return 0;
+                               }),
+                 std::runtime_error);
+    EXPECT_GE(spawned, 2u);
+  }
+}
+
 TEST_F(ParallelTest, WorksFromExternalThreadWithBoundExecutor) {
   std::vector<int> v(500, 1);
   px::thread_pool_executor ex(rt.sched());
@@ -197,13 +237,141 @@ TEST_F(ParallelTest, LimitingExecutorUsesOnlyRequestedWorkers) {
   for (auto w : seen) EXPECT_LT(w, 2u);
 }
 
+// Fewest tasks `loop` spawns over three runs, counted inside the calling
+// task (sync_wait spawns that task itself). A timer interrupt that lands in
+// one run's sub-microsecond leading slice inflates that run's estimate;
+// it does not land in all three.
+template <typename Loop>
+std::uint64_t spawns_of(px::runtime& rt, Loop const& loop) {
+  return px::sync_wait(rt, [&] {
+    std::uint64_t fewest = ~std::uint64_t{0};
+    for (int run = 0; run < 3; ++run) {
+      std::uint64_t const before = rt.sched().tasks_spawned();
+      loop();
+      fewest = std::min(fewest, rt.sched().tasks_spawned() - before);
+    }
+    return fewest;
+  });
+}
+
+px::scheduler_config one_worker() {
+  px::scheduler_config c;
+  c.num_workers = 1;
+  return c;
+}
+
+// The fork decision from a timed slice, without a clock. fork_join_ns is
+// the unit: a task must be worth one, and the caller takes one task.
+TEST(MeasuredGrain, ForkTasksFromTheTimedSlice) {
+  using px::parallel::detail::fork_tasks;
+  using px::parallel::detail::timed_slice_ns;
+  auto const fj =
+      static_cast<std::int64_t>(px::parallel::detail::fork_join_ns);
+  // An empty 16384-item loop: one iteration timed with the clock read
+  // (~25 ns) looks like 400 us of work and forks the cap; a slice of 4096
+  // iterations that took timed_slice_ns shows 3 us left, run inline.
+  EXPECT_EQ(fork_tasks(25, 1, 16383, 32, 4), 32u);
+  EXPECT_EQ(fork_tasks(timed_slice_ns, 4096, 12288, 32, 4), 0u);
+  // Below two fork-join costs the caller finishes inline.
+  EXPECT_EQ(fork_tasks(fj, 1, 1, 32, 4), 0u);
+  EXPECT_EQ(fork_tasks(fj, 10, 19, 32, 4), 0u);
+  // Nine tasks' worth on 4 workers round up to three whole rounds ...
+  EXPECT_EQ(fork_tasks(9 * fj, 1000, 1000, 32, 4), 12u);
+  EXPECT_EQ(fork_tasks(2 * fj, 1000, 1000, 24, 3), 3u);
+  // ... capped by the tasks per call and by the units left.
+  EXPECT_EQ(fork_tasks(1000 * fj, 1, 1000, 32, 4), 32u);
+  EXPECT_EQ(fork_tasks(fj, 1, 3, 32, 4), 3u);  // n == workers, coarse
+  EXPECT_EQ(fork_tasks(fj, 1, 6, 32, 4), 6u);
+  // One worker, or one unit left: nothing to fork.
+  EXPECT_EQ(fork_tasks(1000 * fj, 1, 1000, 32, 1), 0u);
+  EXPECT_EQ(fork_tasks(1000 * fj, 1, 1, 32, 4), 0u);
+}
+
+TEST(MeasuredGrain, OneWorkerNeverSpawns) {
+  px::runtime rt(one_worker());
+  std::vector<std::size_t> out(16384);
+  EXPECT_EQ(spawns_of(rt,
+                      [&] {
+                        px::parallel::for_loop(px::execution::par, 0,
+                                               out.size(),
+                                               [&](std::size_t i) {
+                                                 out[i] = 2 * i;
+                                               });
+                      }),
+            0u);
+  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], 2 * i);
+}
+
+TEST(MeasuredGrain, OneWorkerRethrowsToTheCaller) {
+  px::runtime rt(one_worker());
+  EXPECT_THROW(px::sync_wait(rt,
+                             [] {
+                               px::parallel::for_loop(
+                                   px::execution::par, 0, 1000,
+                                   [](std::size_t i) {
+                                     if (i == 700)
+                                       throw std::runtime_error("bad");
+                                   });
+                               return 0;
+                             }),
+               std::runtime_error);
+}
+
+TEST_F(ParallelTest, SmallLoopRunsInline) {
+  std::vector<std::size_t> out(128);
+  EXPECT_EQ(spawns_of(rt,
+                      [&] {
+                        px::parallel::for_loop(px::execution::par, 0,
+                                               out.size(),
+                                               [&](std::size_t i) {
+                                                 out[i] = i + 1;
+                                               });
+                      }),
+            0u);
+  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], i + 1);
+}
+
+// The grain comes from a timed slice of many iterations: timing a single
+// empty iteration measures the clock read and forks this loop. Only an
+// optimized, uninstrumented build makes the empty body free; under -O0 or
+// ASan 16384 calls of it cost tens of microseconds, and forking is right.
+TEST_F(ParallelTest, EmptyLoopRunsInline) {
+#if !defined(__OPTIMIZE__) || defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "the empty body is not free in this build";
+#endif
+  EXPECT_EQ(spawns_of(rt,
+                      [] {
+                        px::parallel::for_loop(px::execution::par, 0, 16384,
+                                               [](std::size_t) {});
+                      }),
+            0u);
+}
+
+// Guard: a loop of 64 x 20 us must not run serialized on the caller.
+TEST_F(ParallelTest, HeavyLoopStillForks) {
+  std::atomic<int> ran{0};
+  std::uint64_t const spawned = spawns_of(rt, [&] {
+    px::parallel::for_loop(px::execution::par, 0, 64, [&](std::size_t) {
+      busy_wait(std::chrono::microseconds(20));
+      ran.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(ran.load(), 3 * 64);  // spawns_of runs the loop three times
+  EXPECT_GE(spawned, 2u);
+}
+
+// Explicit grains fork every level (8 outer tasks, each forking 10 inner
+// ones and waiting on them inside a task); plain `par` would run these
+// cheap loops inline.
 TEST_F(ParallelTest, NestedParallelism) {
   std::atomic<long> total{0};
   px::sync_wait(rt, [&] {
-    px::parallel::for_loop(px::execution::par, 0, 8, [&](std::size_t) {
-      px::parallel::for_loop(px::execution::par, 0, 100,
-                             [&](std::size_t) { total.fetch_add(1); });
-    });
+    px::parallel::for_loop(px::execution::par.with(1), 0, 8,
+                           [&](std::size_t) {
+                             px::parallel::for_loop(
+                                 px::execution::par.with(10), 0, 100,
+                                 [&](std::size_t) { total.fetch_add(1); });
+                           });
     return 0;
   });
   EXPECT_EQ(total.load(), 800);

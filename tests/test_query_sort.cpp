@@ -59,7 +59,9 @@ TEST_F(QuerySortTest, AllAnyNone) {
 // into one word. Chunks finishing together then raced on that word and an
 // any_of could lose its only `true`. Oversubscribed workers (8 on a
 // 4-CPU host) make chunks finish together; the race is rare per call, so
-// the stress runs for at least a second and 2000 calls.
+// the stress runs for at least a second and 2000 calls. The explicit grain
+// keeps 64 chunk tasks (8 per worker) writing their slots concurrently:
+// under plain `par` this cheap a call runs inline on the caller.
 TEST(QueryRace, AnyOfNeverLosesALoneMatch) {
   px::scheduler_config c;
   c.num_workers = 8;
@@ -71,8 +73,8 @@ TEST(QueryRace, AnyOfNeverLosesALoneMatch) {
         std::chrono::steady_clock::now() + std::chrono::seconds(1);
     int n = 0, m = 0;
     for (; n < 2000 || std::chrono::steady_clock::now() < until; ++n)
-      m += !px::parallel::any_of(px::execution::par, v.begin(), v.end(),
-                                 [](int x) { return x == 1; });
+      m += !px::parallel::any_of(px::execution::par.with(64), v.begin(),
+                                 v.end(), [](int x) { return x == 1; });
     return std::make_pair(n, m);
   });
   EXPECT_EQ(missed, 0) << "of " << calls << " calls";

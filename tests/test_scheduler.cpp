@@ -191,6 +191,16 @@ TEST(Scheduler, NumaDomainsAssignedBlockwise) {
   EXPECT_EQ(domain_of[3].load(), 1);
 }
 
+TEST(IdleSpin, GateNeedsAHardwareThreadForEveryRunningWorker) {
+  using px::rt::idle_spin_allowed;
+  EXPECT_FALSE(idle_spin_allowed(1, 1));  // a 1-core host never spins
+  EXPECT_FALSE(idle_spin_allowed(1, 0));  // unknown core count
+  EXPECT_TRUE(idle_spin_allowed(1, 2));
+  EXPECT_TRUE(idle_spin_allowed(4, 4));
+  EXPECT_FALSE(idle_spin_allowed(5, 4));
+  EXPECT_FALSE(idle_spin_allowed(8, 4));  // e.g. 4 localities x 2 workers
+}
+
 TEST(TimerService, CallbacksFireInDeadlineOrder) {
   auto& ts = px::rt::timer_service::instance();
   std::vector<int> order;
