@@ -15,6 +15,7 @@
 // Try PX_SCHED_POLICY=priority (tenant priorities then rule instead of
 // weights) or =ws (lanes become accounting-only; no isolation).
 #include <cstdio>
+#include <string>
 
 #include "px/px.hpp"
 #include "px/serve/serve.hpp"
@@ -82,10 +83,14 @@ int main() {
               static_cast<unsigned long long>(gen.rejected));
 
   // Every tenant's live telemetry is also in the counter registry:
+  std::string const p99_path =
+      "/px/tenant/" + sv.tenant_instance(i) + "/p99_ns";
   std::uint64_t p99 = 0;
-  px::counters::registry::instance().value_of(
-      "/px/tenant/" + sv.tenant_instance(i) + "/p99_ns", p99);
-  std::printf("registry /px/tenant/interactive/p99_ns = %llu\n",
+  if (!px::counters::registry::instance().value_of(p99_path, p99)) {
+    std::printf("registry %s is not registered\n", p99_path.c_str());
+    return 1;
+  }
+  std::printf("registry %s = %llu\n", p99_path.c_str(),
               static_cast<unsigned long long>(p99));
   return 0;
 }

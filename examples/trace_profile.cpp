@@ -3,6 +3,7 @@
 // timeline (/tmp/px_jacobi_trace.json), then prints the scheduler's own
 // statistics including per-worker utilization.
 #include <cstdio>
+#include <string>
 
 #include "px/px.hpp"
 #include "px/stencil/stencil.hpp"
@@ -60,11 +61,14 @@ int main() {
   std::printf("counters: %zu paths%s%s\n", snap.samples.size(),
               counters_wrote ? " written to " : " (write failed: ",
               counters_wrote ? counters_path.c_str() : counters_path.c_str());
+  std::string const spawned_path =
+      "/px/scheduler{" + rt.counter_instance() + "}/tasks_spawned";
   std::uint64_t spawned = 0;
-  px::counters::registry::instance().value_of(
-      "/px/scheduler{" + rt.counter_instance() + "}/tasks_spawned", spawned);
-  std::printf("counters: /px/scheduler{%s}/tasks_spawned = %llu\n",
-              rt.counter_instance().c_str(),
+  if (!px::counters::registry::instance().value_of(spawned_path, spawned)) {
+    std::printf("counters: %s is not registered\n", spawned_path.c_str());
+    return 1;
+  }
+  std::printf("counters: %s = %llu\n", spawned_path.c_str(),
               static_cast<unsigned long long>(spawned));
   std::printf("\nOpen the JSON in https://ui.perfetto.dev to see the "
               "per-worker task timeline.\n");

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verification: fresh configure, full build, full test suite.
-# Run from anywhere; builds into <repo>/build.
+# Run from anywhere; builds into <repo>/build. The tier-1 build sets
+# PX_WERROR, so a new compiler warning fails it.
 #
 # A second, sanitizer lane (ASan + UBSan, build-san/) then re-runs the
 # transport-heavy suites — fault injection exercises timer/ack races that
@@ -113,7 +114,7 @@ if [ "${1:-}" = "--pxbench" ]; then
   exit 0
 fi
 
-cmake -B "$repo/build" -S "$repo"
+cmake -B "$repo/build" -S "$repo" -DPX_WERROR=ON
 cmake --build "$repo/build" -j
 (cd "$repo/build" && ctest --output-on-failure -j)
 

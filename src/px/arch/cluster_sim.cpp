@@ -114,7 +114,6 @@ struct simulation {
   }
 
   void finish_step(std::size_t i) {
-    node_state& ns = state[i];
     // 3. Edge cells (two updates; negligible but kept for fidelity).
     double const edges = static_cast<double>(neighbours(i)) / rate;
     engine.schedule_after(edges, [this, i] {

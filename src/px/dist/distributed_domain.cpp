@@ -69,13 +69,25 @@ void locality::deliver(parcel::parcel p) {
   // be mid-departure (park until commit/abort).
   if (p.target.valid() && !component_route(p)) return;
 
-  auto const handler = parcel::action_registry::instance().handler(p.action);
-  PX_ASSERT_MSG(handler != nullptr, "parcel for unregistered action");
+  auto const action = parcel::action_registry::instance().entry(p.action);
+  PX_ASSERT_MSG(action.handler != nullptr, "parcel for unregistered action");
+  if (action.direct) {
+    run_direct(action.handler, std::move(p));
+    return;
+  }
   // Message-driven computation: the arriving parcel becomes a task.
-  sched().spawn([this, handler, p = std::move(p)]() mutable {
+  sched().spawn([this, handler = action.handler, p = std::move(p)]() mutable {
     handler(*this, std::move(p));
     parcels_handled_.fetch_add(1, std::memory_order_relaxed);
   });
+}
+
+void locality::run_direct(parcel::action_handler handler,
+                          parcel::parcel&& p) noexcept {
+  ++lcos::detail::direct_handler_depth;
+  handler(*this, std::move(p));
+  --lcos::detail::direct_handler_depth;
+  parcels_handled_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool locality::component_route(parcel::parcel& p) {

@@ -120,7 +120,8 @@ class locality {
   // ---- raw parcel transport ---------------------------------------------
   // Routes through the domain fabric (immediate for dest == this).
   void send(parcel::parcel p);
-  // Entry point for arriving parcels; spawns the handler task here.
+  // Entry point for arriving parcels: runs a direct action's handler
+  // inline on the calling thread, spawns a task here for any other.
   void deliver(parcel::parcel p);
 
   [[nodiscard]] std::uint64_t parcels_handled() const noexcept {
@@ -154,6 +155,12 @@ class locality {
 
   std::uint64_t register_response_slot(std::uint32_t dest,
                                        response_completion completion);
+
+  // Runs a direct action's handler on the delivering thread. noexcept: an
+  // exception escaping a fire-and-forget handler ends the process, as one
+  // escaping a handler task does, instead of unwinding into whoever
+  // delivered the parcel (a sender's route(), the timer thread).
+  void run_direct(parcel::action_handler handler, parcel::parcel&& p) noexcept;
 
   // Component routing inside deliver(): returns true when the parcel should
   // dispatch to its action handler here, false when it was consumed
@@ -298,6 +305,7 @@ auto locality::call(std::uint32_t dest, Args&&... args)
 
   typename sig::args_tuple tup(std::forward<Args>(args)...);
   serial::output_archive out;
+  out.reserve(sizeof(tup));
   out& tup;
 
   parcel::parcel p;
@@ -317,6 +325,7 @@ void locality::apply(std::uint32_t dest, Args&&... args) {
                 "action used before PX_REGISTER_ACTION");
   typename sig::args_tuple tup(std::forward<Args>(args)...);
   serial::output_archive out;
+  out.reserve(sizeof(tup));
   out& tup;
 
   parcel::parcel p;
@@ -349,6 +358,7 @@ auto locality::call_component(agas::gid g, Args&&... args)
 
   typename sig::args_tuple tup(g, std::forward<Args>(args)...);
   serial::output_archive out;
+  out.reserve(sizeof(tup));
   out& tup;
 
   parcel::parcel p;
@@ -369,6 +379,7 @@ void locality::apply_component(agas::gid g, Args&&... args) {
                 "action used before PX_REGISTER_ACTION");
   typename sig::args_tuple tup(g, std::forward<Args>(args)...);
   serial::output_archive out;
+  out.reserve(sizeof(tup));
   out& tup;
 
   parcel::parcel p;
@@ -382,14 +393,26 @@ void locality::apply_component(agas::gid g, Args&&... args) {
 
 }  // namespace px::dist
 
-// Registers a free function (unqualified name, visible in this TU) as a
-// remotely invocable action. Must appear at namespace scope.
-#define PX_REGISTER_ACTION(fn)                                               \
+#define PX_DETAIL_REGISTER_ACTION(fn, direct)                                \
   namespace {                                                                \
   [[maybe_unused]] ::std::uint32_t const px_action_registered_##fn = [] {    \
     auto const id = ::px::parcel::action_registry::instance().add(           \
-        #fn, &::px::dist::detail::invoke_action<&fn>);                       \
+        #fn, &::px::dist::detail::invoke_action<&fn>, direct);               \
     ::px::parcel::action_traits<&fn>::id = id;                               \
     return id;                                                               \
   }();                                                                       \
   }
+
+// Registers a free function (unqualified name, visible in this TU) as a
+// remotely invocable action. Must appear at namespace scope. Each arriving
+// parcel becomes a task on the destination locality.
+#define PX_REGISTER_ACTION(fn) PX_DETAIL_REGISTER_ACTION(fn, false)
+
+// Registers a direct action (HPX's direct actions): deliver() calls its
+// handler inline on the thread that delivers the parcel, with no task. That
+// thread is the sender's worker on a clean fabric, the timer thread for a
+// held or reordered frame, the one decoding a coalesced envelope, or the
+// one releasing parcels parked at a migrating object. The handler must not
+// suspend (lcos wait_until asserts it) and should be short: a put into an
+// LCO, a counter bump.
+#define PX_REGISTER_DIRECT_ACTION(fn) PX_DETAIL_REGISTER_ACTION(fn, true)

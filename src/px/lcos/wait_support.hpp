@@ -56,12 +56,23 @@ class waiter {
   external_slot* slot_ = nullptr;
 };
 
+// Direct-action handlers (PX_REGISTER_DIRECT_ACTION) running on this
+// thread. Such a handler runs inline on whichever thread delivers its
+// parcel — a sender's worker, the timer thread — so a wait inside it
+// would suspend the sender's task or block the timer thread.
+// px::dist::locality::deliver counts around the inline call.
+inline thread_local int direct_handler_depth = 0;
+
 // Blocks the caller until `pred()` holds, releasing `lock` (a px::spinlock
 // or any BasicLockable guarding the LCO state) while waiting. `waiters` is
-// the LCO's registration list, protected by the same lock. On a px worker
-// the current task suspends; on an external thread the OS thread blocks.
-template <typename Lock, typename Pred>
-void wait_until(Lock& lock, std::vector<waiter>& waiters, Pred&& pred) {
+// the LCO's registration list (anything with push_back(waiter)), protected
+// by the same lock. On a px worker the current task suspends; on an
+// external thread the OS thread blocks. Never called from a direct
+// handler.
+template <typename Lock, typename Waiters, typename Pred>
+void wait_until(Lock& lock, Waiters& waiters, Pred&& pred) {
+  PX_ASSERT_MSG(direct_handler_depth == 0,
+                "a direct action's handler must not wait");
   while (!pred()) {
     rt::worker* w = rt::worker::current();
     if (w != nullptr && w->current_task() != nullptr) {

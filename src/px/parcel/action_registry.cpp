@@ -1,19 +1,58 @@
 #include "px/parcel/action_registry.hpp"
 
+#include <array>
+#include <atomic>
+#include <bit>
+#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
-#include <vector>
 
 #include "px/counters/counters.hpp"
 
 namespace px::parcel {
 
 struct action_registry::impl {
-  mutable std::mutex mutex;
-  std::vector<std::pair<std::string, action_handler>> actions{
-      {"<response>", nullptr}};  // slot 0 reserved
+  struct registered {
+    std::string name;
+    action_entry entry;
+  };
+  using slot = std::atomic<registered const*>;
+
+  // A deque never moves its elements, so name()'s references and the
+  // slots below stay valid as actions are added.
+  std::deque<registered> actions;  // slot 0 reserved
   std::unordered_map<std::string, std::uint32_t> by_name;
+  mutable std::mutex mutex;  // guards the two containers above
+
+  // The lock-free index entry() reads. Segment s holds ids
+  // [2^s - 1, 2^(s+1) - 1), so 33 segments cover every id; a segment is
+  // allocated by the first add() that needs it and is never moved, so a
+  // reader never races a resize.
+  std::array<std::atomic<slot*>, 33> segments{};
+
+  impl() { publish(0, actions.emplace_back(registered{"<response>", {}})); }
+  ~impl() {
+    for (auto& s : segments) delete[] s.load(std::memory_order_relaxed);
+  }
+
+  static std::pair<std::size_t, std::size_t> position(
+      std::uint32_t id) noexcept {
+    auto const k = std::uint64_t{id} + 1;
+    auto const s = static_cast<std::size_t>(std::bit_width(k) - 1);
+    return {s, static_cast<std::size_t>(k - (std::uint64_t{1} << s))};
+  }
+
+  // Caller holds `mutex`.
+  void publish(std::uint32_t id, registered const& a) {
+    auto const [s, offset] = position(id);
+    slot* seg = segments[s].load(std::memory_order_relaxed);
+    if (seg == nullptr) {
+      seg = new slot[std::size_t{1} << s]{};
+      segments[s].store(seg, std::memory_order_release);
+    }
+    seg[offset].store(&a, std::memory_order_release);
+  }
 };
 
 action_registry& action_registry::instance() {
@@ -26,24 +65,33 @@ action_registry::impl& action_registry::self() const {
   return state;
 }
 
-std::uint32_t action_registry::add(std::string name, action_handler handler) {
+std::uint32_t action_registry::add(std::string action_name,
+                                   action_handler fn, bool direct) {
   impl& s = self();
   std::lock_guard<std::mutex> lock(s.mutex);
-  auto it = s.by_name.find(name);
-  if (it != s.by_name.end()) return it->second;  // idempotent
+  auto it = s.by_name.find(action_name);
+  if (it != s.by_name.end()) {
+    if (s.actions[it->second].entry.direct != direct)
+      throw std::logic_error("px::parcel: action '" + action_name +
+                             "' registered again with a different direct "
+                             "flag");
+    return it->second;  // idempotent
+  }
   auto const id = static_cast<std::uint32_t>(s.actions.size());
-  s.actions.emplace_back(name, handler);
-  s.by_name.emplace(std::move(name), id);
+  s.publish(id, s.actions.emplace_back(
+                    impl::registered{action_name, {fn, direct}}));
+  s.by_name.emplace(std::move(action_name), id);
   counters::builtin().actions_registered.add();
   return id;
 }
 
-action_handler action_registry::handler(std::uint32_t id) const {
-  impl& s = self();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  if (id >= s.actions.size())
-    throw std::out_of_range("px::parcel: unknown action id");
-  return s.actions[id].second;
+action_entry action_registry::entry(std::uint32_t id) const {
+  auto const [s, offset] = impl::position(id);
+  impl::slot const* seg = self().segments[s].load(std::memory_order_acquire);
+  impl::registered const* a =
+      seg != nullptr ? seg[offset].load(std::memory_order_acquire) : nullptr;
+  if (a == nullptr) throw std::out_of_range("px::parcel: unknown action id");
+  return a->entry;
 }
 
 std::string const& action_registry::name(std::uint32_t id) const {
@@ -51,13 +99,13 @@ std::string const& action_registry::name(std::uint32_t id) const {
   std::lock_guard<std::mutex> lock(s.mutex);
   if (id >= s.actions.size())
     throw std::out_of_range("px::parcel: unknown action id");
-  return s.actions[id].first;
+  return s.actions[id].name;
 }
 
-std::uint32_t action_registry::id_of(std::string const& name) const {
+std::uint32_t action_registry::id_of(std::string const& action_name) const {
   impl& s = self();
   std::lock_guard<std::mutex> lock(s.mutex);
-  auto it = s.by_name.find(name);
+  auto it = s.by_name.find(action_name);
   return it != s.by_name.end() ? it->second : 0;
 }
 

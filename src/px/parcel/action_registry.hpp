@@ -17,19 +17,36 @@ class locality;
 
 namespace px::parcel {
 
-// Handlers run as a fresh px task on the destination locality's scheduler.
+// Handlers run as a fresh px task on the destination locality's scheduler,
+// or, for a direct action, inline on the thread that delivers the parcel.
 using action_handler = void (*)(dist::locality& here, parcel&& p);
+
+// What deliver() needs to dispatch a parcel: one read, no lock.
+struct action_entry {
+  action_handler handler = nullptr;
+  // Registered with PX_REGISTER_DIRECT_ACTION: the handler runs inline on
+  // the delivering thread instead of as a task, and must not suspend.
+  bool direct = false;
+};
 
 class action_registry {
  public:
   static action_registry& instance();
 
   // Returns the new action's id (>= 1; 0 is the reserved response action).
-  std::uint32_t add(std::string name, action_handler handler);
+  // Registering a name again returns its id; with a different `direct`
+  // flag it throws std::logic_error.
+  std::uint32_t add(std::string action_name, action_handler fn,
+                    bool direct = false);
 
-  [[nodiscard]] action_handler handler(std::uint32_t id) const;
+  // Lock-free: every id's entry is written once, by add(), before add()
+  // returns the id. Throws std::out_of_range for an unknown id.
+  [[nodiscard]] action_entry entry(std::uint32_t id) const;
+  [[nodiscard]] action_handler handler(std::uint32_t id) const {
+    return entry(id).handler;
+  }
   [[nodiscard]] std::string const& name(std::uint32_t id) const;
-  [[nodiscard]] std::uint32_t id_of(std::string const& name) const;
+  [[nodiscard]] std::uint32_t id_of(std::string const& action_name) const;
   [[nodiscard]] std::size_t size() const;
 
  private:

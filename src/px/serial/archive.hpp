@@ -53,6 +53,10 @@ class output_archive {
   template <typename T>
   output_archive& operator&(T const& value);
 
+  // Capacity hint, so a payload whose size is known up front is written
+  // into one allocation; writing past it still grows the buffer.
+  void reserve(std::size_t n) { buffer_.reserve(n); }
+
   [[nodiscard]] std::vector<std::byte> take() { return std::move(buffer_); }
   [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
 

@@ -122,6 +122,8 @@ made_partition heat_make_partition(px::dist::locality& here,
   return made;
 }
 
+// A direct action: runs on the thread that delivers the halo, so it only
+// looks the partition up and puts, never waits.
 void heat_halo_put(px::dist::locality& here, agas::gid g, std::uint64_t step,
                    std::uint8_t from_side_left, double value) {
   auto part = here.agas().resolve<heat_partition>(g);
@@ -278,7 +280,7 @@ agas::gid heat_part_migrate(px::dist::locality& here, agas::gid g,
 }  // namespace
 
 PX_REGISTER_ACTION(heat_make_partition)
-PX_REGISTER_ACTION(heat_halo_put)
+PX_REGISTER_DIRECT_ACTION(heat_halo_put)
 PX_REGISTER_ACTION(heat_ckpt_put)
 PX_REGISTER_ACTION(heat_ckpt_fetch)
 PX_REGISTER_ACTION(heat_ckpt_report)

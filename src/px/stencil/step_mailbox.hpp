@@ -1,18 +1,26 @@
 // px/stencil/step_mailbox.hpp
-// Halo values keyed by time step. Parcel handlers are ordinary tasks and
-// may execute out of order on a multi-worker locality, so the distributed
-// solvers match halos by step instead of assuming FIFO arrival.
+// Halo values keyed by time step. Halo puts are direct actions: they run
+// in delivery order on whichever thread delivers the parcel, and on a
+// lossy fabric (held, reordered, retransmitted frames) that is not step
+// order, so the distributed solvers match halos by step instead of
+// assuming FIFO arrival.
+//
+// Allocation-free in steady state: buffered values and waiting getters
+// live in two small vectors searched by step key, which keep their
+// capacity, and a getter's slot lives on its own stack. A put runs on the
+// sender's thread and a get on the receiver's, so a per-halo node would be
+// allocated on one thread and freed on another.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <exception>
-#include <memory>
-#include <unordered_map>
+#include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "px/lcos/shared_state.hpp"
+#include "px/lcos/wait_support.hpp"
 #include "px/support/spin.hpp"
 
 namespace px::stencil {
@@ -20,39 +28,42 @@ namespace px::stencil {
 template <typename T>
 class step_mailbox {
  public:
+  // The first put for a key wins; a second one before its get is dropped.
   void put(std::uint64_t key, T value) {
-    std::shared_ptr<px::lcos::detail::shared_state<T>> waiter;
+    lcos::detail::waiter woken;
     {
       std::lock_guard<px::spinlock> guard(lock_);
       if (poison_ != nullptr) return;  // dead mailbox swallows late halos
-      auto it = waiters_.find(key);
-      if (it != waiters_.end()) {
-        waiter = std::move(it->second);
-        waiters_.erase(it);
-      } else {
-        values_.emplace(key, std::move(value));
+      auto w = std::find_if(waiting_.begin(), waiting_.end(),
+                            [key](pending_get* g) { return g->key == key; });
+      if (w == waiting_.end()) {
+        if (find_value(key) == values_.end())
+          values_.emplace_back(key, std::move(value));
         return;
       }
+      (*w)->value.emplace(std::move(value));
+      woken = (*w)->who;
+      swap_remove(waiting_, w);
     }
-    waiter->set_value(std::move(value));
+    woken.notify();
   }
 
   // Suspends the calling task until the value for `key` has arrived.
   T get(std::uint64_t key) {
-    std::shared_ptr<px::lcos::detail::shared_state<T>> state;
-    {
-      std::lock_guard<px::spinlock> guard(lock_);
-      if (poison_ != nullptr) std::rethrow_exception(poison_);
-      auto it = values_.find(key);
-      if (it != values_.end()) {
-        T v = std::move(it->second);
-        values_.erase(it);
-        return v;
-      }
-      state = std::make_shared<px::lcos::detail::shared_state<T>>();
-      waiters_.emplace(key, state);
+    std::unique_lock<px::spinlock> lock(lock_);
+    if (poison_ != nullptr) std::rethrow_exception(poison_);
+    if (auto it = find_value(key); it != values_.end()) {
+      T v = std::move(it->second);
+      swap_remove(values_, it);
+      return v;
     }
-    return state->get();
+    pending_get me(key);
+    waiting_.push_back(&me);
+    lcos::detail::wait_until(lock, me, [&me] {
+      return me.value.has_value() || me.error != nullptr;
+    });
+    if (me.error != nullptr) std::rethrow_exception(me.error);
+    return std::move(*me.value);
   }
 
   // Kills the mailbox: every task currently suspended in get() is failed
@@ -61,17 +72,20 @@ class step_mailbox {
   // would otherwise block forever on a halo that can no longer arrive.
   // Idempotent (the first reason wins).
   void poison(std::exception_ptr reason) {
-    std::vector<std::shared_ptr<px::lcos::detail::shared_state<T>>> victims;
+    std::vector<lcos::detail::waiter> victims;
     {
       std::lock_guard<px::spinlock> guard(lock_);
       if (poison_ != nullptr) return;
       poison_ = reason;
-      victims.reserve(waiters_.size());
-      for (auto& [key, waiter] : waiters_) victims.push_back(std::move(waiter));
-      waiters_.clear();
+      victims.reserve(waiting_.size());
+      for (pending_get* g : waiting_) {
+        g->error = reason;
+        victims.push_back(g->who);
+      }
+      waiting_.clear();
       values_.clear();
     }
-    for (auto& v : victims) v->set_exception(reason);
+    for (auto& v : victims) v.notify();
   }
 
   [[nodiscard]] bool poisoned() const {
@@ -93,10 +107,7 @@ class step_mailbox {
     std::vector<std::pair<std::uint64_t, T>> out;
     {
       std::lock_guard<px::spinlock> guard(lock_);
-      out.reserve(values_.size());
-      for (auto& [key, value] : values_)
-        out.emplace_back(key, std::move(value));
-      values_.clear();
+      out.swap(values_);
     }
     std::sort(out.begin(), out.end(),
               [](auto const& a, auto const& b) { return a.first < b.first; });
@@ -104,11 +115,32 @@ class step_mailbox {
   }
 
  private:
+  // A getter's wait, on its own stack. It is also the one-entry waiter list
+  // wait_until registers the suspended task in.
+  struct pending_get {
+    explicit pending_get(std::uint64_t k) noexcept : key(k) {}
+    std::uint64_t key;
+    std::optional<T> value;
+    std::exception_ptr error;
+    lcos::detail::waiter who;
+    void push_back(lcos::detail::waiter w) noexcept { who = w; }
+  };
+
+  // Order within the vectors carries no meaning: lookups are by key.
+  template <typename V>
+  static void swap_remove(V& v, typename V::iterator it) {
+    if (it != v.end() - 1) *it = std::move(v.back());
+    v.pop_back();
+  }
+
+  auto find_value(std::uint64_t key) {
+    return std::find_if(values_.begin(), values_.end(),
+                        [key](auto const& kv) { return kv.first == key; });
+  }
+
   mutable px::spinlock lock_;
-  std::unordered_map<std::uint64_t, T> values_;
-  std::unordered_map<std::uint64_t,
-                     std::shared_ptr<px::lcos::detail::shared_state<T>>>
-      waiters_;
+  std::vector<std::pair<std::uint64_t, T>> values_;
+  std::vector<pending_get*> waiting_;
   std::exception_ptr poison_;
 };
 

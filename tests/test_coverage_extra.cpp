@@ -189,7 +189,7 @@ TEST(CoverageDist, ConcurrentCallsFromEveryLocality) {
   cfg.injection_scale = 0.0005;
   px::dist::distributed_domain dom(cfg);
 
-  double total = dom.run([&](px::dist::locality& loc0) {
+  double total = dom.run([&](px::dist::locality&) {
     // Every locality simultaneously bombards every other with work.
     std::vector<px::future<double>> roots;
     for (std::size_t src = 0; src < dom.size(); ++src) {

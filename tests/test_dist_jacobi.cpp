@@ -188,8 +188,9 @@ TEST_F(BlockedTest, DerivedBandRowsRespectCacheBudget) {
   std::size_t const rows = derive_band_rows(f, bc);
   EXPECT_GE(rows, 2u);
   // 4 rows x row bytes must fit the budget (or be clamped to minimum 2).
-  if (rows > 2)
+  if (rows > 2) {
     EXPECT_LE(4 * rows * f.row_stride() * sizeof(double), bc.cache_bytes);
+  }
 }
 
 }  // namespace

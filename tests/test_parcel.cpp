@@ -1,13 +1,18 @@
 // Tests for the parcel subsystem: action registration, remote invocation
 // with and without results, locality-aware actions, exception propagation,
-// fire-and-forget, migration, and fabric accounting.
+// fire-and-forget, direct actions, migration, and fabric accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 
 #include "px/dist/distributed_domain.hpp"
 #include "px/dist/migration.hpp"
+#include "px/lcos/latch.hpp"
+#include "px/stencil/heat1d.hpp"
+#include "px/stencil/heat1d_distributed.hpp"
+#include "px/stencil/reference.hpp"
 
 namespace {
 
@@ -24,6 +29,25 @@ std::vector<double> vector_echo(std::vector<double> v) {
   return v;
 }
 std::string concat_action(std::string a, std::string b) { return a + b; }
+
+// Direct actions: what the handler saw, written on the delivering thread.
+std::atomic<int> direct_sum{0};
+std::thread::id direct_thread;
+std::uint32_t direct_here = 0;
+void direct_poke(px::dist::locality& here, int x) {
+  direct_thread = std::this_thread::get_id();
+  direct_here = here.id();
+  direct_sum.fetch_add(x);
+}
+int direct_double(int x) {
+  if (x < 0) throw std::runtime_error("direct boom");
+  return 2 * x;
+}
+void direct_waits() {
+  px::latch never(1);
+  never.wait();
+}
+void direct_throws() { throw std::runtime_error("escaped a direct handler"); }
 
 struct migratable_counter {
   long value = 0;
@@ -42,6 +66,10 @@ PX_REGISTER_ACTION(poke_action)
 PX_REGISTER_ACTION(throwing_action)
 PX_REGISTER_ACTION(vector_echo)
 PX_REGISTER_ACTION(concat_action)
+PX_REGISTER_DIRECT_ACTION(direct_poke)
+PX_REGISTER_DIRECT_ACTION(direct_double)
+PX_REGISTER_DIRECT_ACTION(direct_waits)
+PX_REGISTER_DIRECT_ACTION(direct_throws)
 PX_REGISTER_MIGRATABLE(migratable_counter)
 
 namespace {
@@ -69,6 +97,122 @@ TEST(ActionRegistry, UnknownActionThrows) {
   auto& reg = px::parcel::action_registry::instance();
   EXPECT_THROW((void)reg.handler(100000), std::out_of_range);
   EXPECT_EQ(reg.id_of("no_such_action"), 0u);
+}
+
+TEST(ActionRegistry, ReRegisteringWithTheOtherDirectFlagThrows) {
+  auto& reg = px::parcel::action_registry::instance();
+  auto const direct = reg.id_of("direct_poke");
+  auto const task = reg.id_of("add_action");
+  ASSERT_NE(direct, 0u);
+  ASSERT_NE(task, 0u);
+  EXPECT_TRUE(reg.entry(direct).direct);
+  EXPECT_FALSE(reg.entry(task).direct);
+  EXPECT_THROW(reg.add("direct_poke", reg.handler(direct), false),
+               std::logic_error);
+  EXPECT_THROW(reg.add("add_action", reg.handler(task), true),
+               std::logic_error);
+  // The same flag again stays idempotent.
+  EXPECT_EQ(reg.add("direct_poke", reg.handler(direct), true), direct);
+  EXPECT_EQ(reg.add("add_action", reg.handler(task), false), task);
+}
+
+TEST(DirectAction, RunsOnTheDeliveringThreadWithoutATask) {
+  // Clean fabric, no injected delay: delivery happens inside apply(), on
+  // the sender's thread.
+  px::dist::distributed_domain dom(test_domain(2, 0.0));
+  auto& loc1 = dom.at(1);
+  std::uint64_t spawned = 0;
+  int sum = 0;
+  bool same_thread = false;
+  dom.run([&](px::dist::locality& loc0) {
+    auto const before = loc1.sched().tasks_spawned();
+    int const base = direct_sum.load();
+    loc0.apply<&direct_poke>(1, 5);
+    sum = direct_sum.load() - base;  // taken effect when apply returns
+    same_thread = direct_thread == std::this_thread::get_id();
+    spawned = loc1.sched().tasks_spawned() - before;
+    return 0;
+  });
+  EXPECT_EQ(sum, 5);
+  EXPECT_TRUE(same_thread);
+  EXPECT_EQ(direct_here, 1u);
+  EXPECT_EQ(spawned, 0u);
+  EXPECT_GE(loc1.parcels_handled(), 1u);
+}
+
+TEST(DirectAction, CallGetsTheResultAndTheException) {
+  px::dist::distributed_domain dom(test_domain(2));
+  auto const r = dom.run([](px::dist::locality& loc0) {
+    return loc0.call<&direct_double>(1, 21).get();
+  });
+  EXPECT_EQ(r, 42);
+  bool const threw = dom.run([](px::dist::locality& loc0) {
+    try {
+      (void)loc0.call<&direct_double>(1, -1).get();
+      return false;
+    } catch (std::runtime_error const& e) {
+      return std::string(e.what()).find("direct boom") != std::string::npos;
+    }
+  });
+  EXPECT_TRUE(threw);
+}
+
+TEST(DirectAction, HeatSolveSpawnsFewerTasksThanSteps) {
+  // The halos of a 4-locality solve are direct puts: the solve's tasks are
+  // its few wave and round tasks, not one per halo (at least 1200 here).
+  px::dist::domain_config cfg;
+  cfg.num_localities = 4;
+  cfg.locality_cfg.num_workers = 1;
+  cfg.injection_scale = 0.0;
+  px::dist::distributed_domain dom(cfg);
+  auto const spawned = [&] {
+    std::uint64_t n = 0;
+    for (std::size_t l = 0; l < dom.size(); ++l)
+      n += dom.at(l).sched().tasks_spawned();
+    return n;
+  };
+  auto const initial = px::stencil::heat1d_sine_initial(4 * 1024);
+  px::stencil::dist_heat_config hc;
+  hc.steps = 200;
+  auto const before = spawned();
+  auto const out = px::stencil::run_distributed_heat1d(dom, initial, hc);
+  EXPECT_LT(spawned() - before, hc.steps);
+  EXPECT_TRUE(out.values ==
+              px::stencil::reference_heat1d(initial, hc.steps, hc.k));
+}
+
+// The children of these death tests re-run the test binary in a fresh
+// process ("threadsafe" style), so they inherit none of the parent's
+// running workers.
+TEST(DirectActionDeathTest, WaitingInADirectHandlerAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        px::dist::distributed_domain dom(test_domain(2, 0.0));
+        dom.run([](px::dist::locality& loc0) {
+          loc0.apply<&direct_waits>(1);
+          return 0;
+        });
+      },
+      "a direct action's handler must not wait");
+}
+
+TEST(DirectActionDeathTest, ExceptionEscapingAFireAndForgetHandlerEnds) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        px::dist::distributed_domain dom(test_domain(2, 0.0));
+        dom.run([](px::dist::locality& loc0) {
+          try {
+            loc0.apply<&direct_throws>(1);
+          } catch (...) {
+            // Must not get here: the sender's apply() never sees it.
+            return 1;
+          }
+          return 0;
+        });
+      },
+      "escaped a direct handler");
 }
 
 TEST(Parcel, CallReturnsRemoteResult) {

@@ -373,7 +373,11 @@ TEST(FailureDetector, SilentLocalityIsSuspectedThenConfirmed) {
   // plane does not mark the locality dead, so the only path to a confirm
   // is organic heartbeat silence.
   dom.fabric().faults().hang_now(2);
-  ASSERT_TRUE(eventually(5'000, [&] { return dom.is_confirmed_dead(2); }));
+  // The detector publishes the death (confirm_failure) before it runs the
+  // on_confirm callbacks: wait for the callback too, not just the flag.
+  ASSERT_TRUE(eventually(5'000, [&] {
+    return dom.is_confirmed_dead(2) && confirmed.load() != -1;
+  }));
 
   EXPECT_EQ(suspected.load(), 2);
   EXPECT_EQ(confirmed.load(), 2);

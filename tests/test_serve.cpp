@@ -279,7 +279,9 @@ phase_result run_phase(bool inject_fault) {
   auto const gen = run_open_loop(sv, lat, ol);
   sv.drain();
   dom->wait_all_quiescent();
-  if (inject_fault) EXPECT_TRUE(dom->is_confirmed_dead(3));
+  if (inject_fault) {
+    EXPECT_TRUE(dom->is_confirmed_dead(3));
+  }
 
   auto const s = sv.stats(lat);
   out.p99_ns = s.p99_ns;
