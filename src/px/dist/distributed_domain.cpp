@@ -84,9 +84,9 @@ void locality::deliver(parcel::parcel p) {
 
 void locality::run_direct(parcel::action_handler handler,
                           parcel::parcel&& p) noexcept {
-  ++lcos::detail::direct_handler_depth;
+  ++rt::direct_handler_depth;
   handler(*this, std::move(p));
-  --lcos::detail::direct_handler_depth;
+  --rt::direct_handler_depth;
   parcels_handled_.fetch_add(1, std::memory_order_relaxed);
 }
 

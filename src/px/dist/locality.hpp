@@ -413,6 +413,7 @@ void locality::apply_component(agas::gid g, Args&&... args) {
 // thread is the sender's worker on a clean fabric, the timer thread for a
 // held or reordered frame, the one decoding a coalesced envelope, or the
 // one releasing parcels parked at a migrating object. The handler must not
-// suspend (lcos wait_until asserts it) and should be short: a put into an
-// LCO, a counter bump.
+// wait: a task suspension, an LCO read or a blocking LCO wait inside it
+// fails an assertion. It should be short: a put into an LCO, a counter
+// bump.
 #define PX_REGISTER_DIRECT_ACTION(fn) PX_DETAIL_REGISTER_ACTION(fn, true)

@@ -24,22 +24,7 @@ class mutex {
         state_lock_.unlock();
         return;
       }
-      rt::worker* w = rt::worker::current();
-      if (w != nullptr && w->current_task() != nullptr) {
-        fifo_.push_back(lcos::detail::waiter::from_task(w->current_task()));
-        state_lock_.unlock();
-        w->suspend_current();
-        state_lock_.lock();
-      } else {
-        lcos::detail::external_slot slot;
-        fifo_.push_back(lcos::detail::waiter::from_external(&slot));
-        state_lock_.unlock();
-        {
-          std::unique_lock<std::mutex> slot_lock(slot.m);
-          slot.cv.wait(slot_lock, [&] { return slot.signaled; });
-        }
-        state_lock_.lock();
-      }
+      lcos::detail::wait_once(state_lock_, fifo_);
     }
   }
 
@@ -81,20 +66,12 @@ class condition_variable {
   void wait(std::unique_lock<px::mutex>& lock) {
     PX_ASSERT(lock.owns_lock());
     state_lock_.lock();
-    rt::worker* w = rt::worker::current();
-    if (w != nullptr && w->current_task() != nullptr) {
-      waiters_.push_back(lcos::detail::waiter::from_task(w->current_task()));
-      lock.unlock();
-      state_lock_.unlock();
-      w->suspend_current();
-    } else {
-      lcos::detail::external_slot slot;
-      waiters_.push_back(lcos::detail::waiter::from_external(&slot));
-      lock.unlock();
-      state_lock_.unlock();
-      std::unique_lock<std::mutex> slot_lock(slot.m);
-      slot.cv.wait(slot_lock, [&] { return slot.signaled; });
-    }
+    // state_lock_ is held from before the mutex is released until
+    // wait_once has registered us, so a notify after the release cannot
+    // miss this waiter.
+    lock.unlock();
+    lcos::detail::wait_once(state_lock_, waiters_);
+    state_lock_.unlock();
     lock.lock();
   }
 

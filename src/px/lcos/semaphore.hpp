@@ -46,22 +46,7 @@ class counting_semaphore {
         return;
       }
       // Register at the back and wait for a release to single us out.
-      rt::worker* w = rt::worker::current();
-      if (w != nullptr && w->current_task() != nullptr) {
-        fifo_.push_back(lcos::detail::waiter::from_task(w->current_task()));
-        lock_.unlock();
-        w->suspend_current();
-        lock_.lock();
-      } else {
-        lcos::detail::external_slot slot;
-        fifo_.push_back(lcos::detail::waiter::from_external(&slot));
-        lock_.unlock();
-        {
-          std::unique_lock<std::mutex> slot_lock(slot.m);
-          slot.cv.wait(slot_lock, [&] { return slot.signaled; });
-        }
-        lock_.lock();
-      }
+      lcos::detail::wait_once(lock_, fifo_);
     }
   }
 

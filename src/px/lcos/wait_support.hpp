@@ -56,41 +56,41 @@ class waiter {
   external_slot* slot_ = nullptr;
 };
 
-// Direct-action handlers (PX_REGISTER_DIRECT_ACTION) running on this
-// thread. Such a handler runs inline on whichever thread delivers its
-// parcel — a sender's worker, the timer thread — so a wait inside it
-// would suspend the sender's task or block the timer thread.
-// px::dist::locality::deliver counts around the inline call.
-inline thread_local int direct_handler_depth = 0;
+// One wait: registers the caller in `waiters` (anything with
+// push_back(waiter)) and releases `lock` (held on entry; a px::spinlock or
+// any BasicLockable guarding the LCO state), then suspends the current px
+// task, or blocks the OS thread when not on one, until notified. Returns
+// with `lock` held again. Every LCO wait goes through here; like every
+// task suspension it aborts inside a direct action's handler.
+template <typename Lock, typename Waiters>
+void wait_once(Lock& lock, Waiters& waiters) {
+  rt::assert_not_in_direct_handler();
+  rt::worker* w = rt::worker::current();
+  if (w != nullptr && w->current_task() != nullptr) {
+    waiters.push_back(waiter::from_task(w->current_task()));
+    lock.unlock();
+    w->suspend_current();
+    lock.lock();
+    return;
+  }
+  external_slot slot;
+  waiters.push_back(waiter::from_external(&slot));
+  lock.unlock();
+  {
+    std::unique_lock<std::mutex> slot_lock(slot.m);
+    slot.cv.wait(slot_lock, [&] { return slot.signaled; });
+  }
+  lock.lock();
+}
 
-// Blocks the caller until `pred()` holds, releasing `lock` (a px::spinlock
-// or any BasicLockable guarding the LCO state) while waiting. `waiters` is
-// the LCO's registration list (anything with push_back(waiter)), protected
-// by the same lock. On a px worker the current task suspends; on an
-// external thread the OS thread blocks. Never called from a direct
-// handler.
+// Blocks the caller until `pred()` holds; `lock` and `waiters` as for
+// wait_once. Aborts inside a direct action's handler even when `pred()`
+// already holds, so a handler that reads an LCO fails every time, not
+// only when the value happens to be late.
 template <typename Lock, typename Waiters, typename Pred>
 void wait_until(Lock& lock, Waiters& waiters, Pred&& pred) {
-  PX_ASSERT_MSG(direct_handler_depth == 0,
-                "a direct action's handler must not wait");
-  while (!pred()) {
-    rt::worker* w = rt::worker::current();
-    if (w != nullptr && w->current_task() != nullptr) {
-      waiters.push_back(waiter::from_task(w->current_task()));
-      lock.unlock();
-      w->suspend_current();
-      lock.lock();
-    } else {
-      external_slot slot;
-      waiters.push_back(waiter::from_external(&slot));
-      lock.unlock();
-      {
-        std::unique_lock<std::mutex> slot_lock(slot.m);
-        slot.cv.wait(slot_lock, [&] { return slot.signaled; });
-      }
-      lock.lock();
-    }
-  }
+  rt::assert_not_in_direct_handler();
+  while (!pred()) wait_once(lock, waiters);
 }
 
 // Pops all registered waiters (under the LCO lock) for notification after

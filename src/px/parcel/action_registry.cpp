@@ -1,58 +1,19 @@
 #include "px/parcel/action_registry.hpp"
 
-#include <array>
-#include <atomic>
-#include <bit>
-#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 #include "px/counters/counters.hpp"
 
 namespace px::parcel {
 
 struct action_registry::impl {
-  struct registered {
-    std::string name;
-    action_entry entry;
-  };
-  using slot = std::atomic<registered const*>;
-
-  // A deque never moves its elements, so name()'s references and the
-  // slots below stay valid as actions are added.
-  std::deque<registered> actions;  // slot 0 reserved
+  mutable std::mutex mutex;
+  std::vector<std::pair<std::string, action_entry>> actions{
+      {"<response>", {}}};  // slot 0 reserved
   std::unordered_map<std::string, std::uint32_t> by_name;
-  mutable std::mutex mutex;  // guards the two containers above
-
-  // The lock-free index entry() reads. Segment s holds ids
-  // [2^s - 1, 2^(s+1) - 1), so 33 segments cover every id; a segment is
-  // allocated by the first add() that needs it and is never moved, so a
-  // reader never races a resize.
-  std::array<std::atomic<slot*>, 33> segments{};
-
-  impl() { publish(0, actions.emplace_back(registered{"<response>", {}})); }
-  ~impl() {
-    for (auto& s : segments) delete[] s.load(std::memory_order_relaxed);
-  }
-
-  static std::pair<std::size_t, std::size_t> position(
-      std::uint32_t id) noexcept {
-    auto const k = std::uint64_t{id} + 1;
-    auto const s = static_cast<std::size_t>(std::bit_width(k) - 1);
-    return {s, static_cast<std::size_t>(k - (std::uint64_t{1} << s))};
-  }
-
-  // Caller holds `mutex`.
-  void publish(std::uint32_t id, registered const& a) {
-    auto const [s, offset] = position(id);
-    slot* seg = segments[s].load(std::memory_order_relaxed);
-    if (seg == nullptr) {
-      seg = new slot[std::size_t{1} << s]{};
-      segments[s].store(seg, std::memory_order_release);
-    }
-    seg[offset].store(&a, std::memory_order_release);
-  }
 };
 
 action_registry& action_registry::instance() {
@@ -71,27 +32,25 @@ std::uint32_t action_registry::add(std::string action_name,
   std::lock_guard<std::mutex> lock(s.mutex);
   auto it = s.by_name.find(action_name);
   if (it != s.by_name.end()) {
-    if (s.actions[it->second].entry.direct != direct)
+    if (s.actions[it->second].second.direct != direct)
       throw std::logic_error("px::parcel: action '" + action_name +
                              "' registered again with a different direct "
                              "flag");
     return it->second;  // idempotent
   }
   auto const id = static_cast<std::uint32_t>(s.actions.size());
-  s.publish(id, s.actions.emplace_back(
-                    impl::registered{action_name, {fn, direct}}));
+  s.actions.emplace_back(action_name, action_entry{fn, direct});
   s.by_name.emplace(std::move(action_name), id);
   counters::builtin().actions_registered.add();
   return id;
 }
 
 action_entry action_registry::entry(std::uint32_t id) const {
-  auto const [s, offset] = impl::position(id);
-  impl::slot const* seg = self().segments[s].load(std::memory_order_acquire);
-  impl::registered const* a =
-      seg != nullptr ? seg[offset].load(std::memory_order_acquire) : nullptr;
-  if (a == nullptr) throw std::out_of_range("px::parcel: unknown action id");
-  return a->entry;
+  impl& s = self();
+  std::lock_guard<std::mutex> lock(s.mutex);
+  if (id >= s.actions.size())
+    throw std::out_of_range("px::parcel: unknown action id");
+  return s.actions[id].second;
 }
 
 std::string const& action_registry::name(std::uint32_t id) const {
@@ -99,7 +58,7 @@ std::string const& action_registry::name(std::uint32_t id) const {
   std::lock_guard<std::mutex> lock(s.mutex);
   if (id >= s.actions.size())
     throw std::out_of_range("px::parcel: unknown action id");
-  return s.actions[id].name;
+  return s.actions[id].first;
 }
 
 std::uint32_t action_registry::id_of(std::string const& action_name) const {

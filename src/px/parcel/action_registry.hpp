@@ -21,11 +21,11 @@ namespace px::parcel {
 // or, for a direct action, inline on the thread that delivers the parcel.
 using action_handler = void (*)(dist::locality& here, parcel&& p);
 
-// What deliver() needs to dispatch a parcel: one read, no lock.
+// What deliver() needs to dispatch a parcel, read in one lookup.
 struct action_entry {
   action_handler handler = nullptr;
   // Registered with PX_REGISTER_DIRECT_ACTION: the handler runs inline on
-  // the delivering thread instead of as a task, and must not suspend.
+  // the delivering thread instead of as a task, and must not wait.
   bool direct = false;
 };
 
@@ -39,12 +39,8 @@ class action_registry {
   std::uint32_t add(std::string action_name, action_handler fn,
                     bool direct = false);
 
-  // Lock-free: every id's entry is written once, by add(), before add()
-  // returns the id. Throws std::out_of_range for an unknown id.
+  // Throws std::out_of_range for an unknown id.
   [[nodiscard]] action_entry entry(std::uint32_t id) const;
-  [[nodiscard]] action_handler handler(std::uint32_t id) const {
-    return entry(id).handler;
-  }
   [[nodiscard]] std::string const& name(std::uint32_t id) const;
   [[nodiscard]] std::uint32_t id_of(std::string const& action_name) const;
   [[nodiscard]] std::size_t size() const;

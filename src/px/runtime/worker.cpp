@@ -163,6 +163,7 @@ void worker::execute(task* t) {
 }
 
 void worker::yield_current() {
+  assert_not_in_direct_handler();
   PX_ASSERT(current_ != nullptr);
   PX_ASSERT(fibers::fiber::current() == current_->fib);
   yield_requested_ = true;
@@ -170,6 +171,7 @@ void worker::yield_current() {
 }
 
 void worker::suspend_current() {
+  assert_not_in_direct_handler();
   PX_ASSERT(current_ != nullptr);
   PX_ASSERT(fibers::fiber::current() == current_->fib);
   suspend_requested_ = true;

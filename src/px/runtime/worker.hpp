@@ -13,6 +13,7 @@
 #include "px/runtime/task.hpp"
 #include "px/runtime/task_pool.hpp"
 #include "px/runtime/ws_deque.hpp"
+#include "px/support/assert.hpp"
 #include "px/support/random.hpp"
 
 namespace px::sched {
@@ -31,6 +32,20 @@ class scheduler;
 [[nodiscard]] constexpr bool idle_spin_allowed(
     std::size_t running_workers, std::size_t hardware_threads) noexcept {
   return hardware_threads > 1 && running_workers <= hardware_threads;
+}
+
+// Direct-action handlers (PX_REGISTER_DIRECT_ACTION) running on this OS
+// thread. Such a handler runs inline on whichever thread delivers its
+// parcel (a sender's task, the timer thread), so it must neither suspend
+// nor block: px::dist::locality counts around the call, and every wait
+// checks the count first (worker::suspend_current and yield_current for a
+// task, lcos::detail::wait_once for an OS thread). As the handler never
+// suspends, it finishes on the thread whose count it raised.
+inline thread_local int direct_handler_depth = 0;
+
+inline void assert_not_in_direct_handler() noexcept {
+  PX_ASSERT_MSG(direct_handler_depth == 0,
+                "a direct action's handler must not wait");
 }
 
 struct worker_stats {

@@ -38,8 +38,6 @@ int jacobi_prepare(px::dist::locality& here) {
   return static_cast<int>(here.id());
 }
 
-// A direct action: runs on the thread that delivers the row, so it only
-// puts, never waits.
 void jacobi_halo_put(px::dist::locality& here, std::uint32_t step,
                      std::uint8_t from_above, std::vector<double> row) {
   auto state = resolve_jstate(here);
@@ -173,7 +171,7 @@ std::vector<double> jacobi_solve_block(px::dist::locality& here,
 }  // namespace
 
 PX_REGISTER_ACTION(jacobi_prepare)
-PX_REGISTER_DIRECT_ACTION(jacobi_halo_put)
+PX_REGISTER_ACTION(jacobi_halo_put)
 PX_REGISTER_ACTION(jacobi_solve_block)
 PX_REGISTER_ACTION(jacobi_teardown)
 

@@ -1,15 +1,16 @@
 // px/stencil/step_mailbox.hpp
-// Halo values keyed by time step. Halo puts are direct actions: they run
-// in delivery order on whichever thread delivers the parcel, and on a
-// lossy fabric (held, reordered, retransmitted frames) that is not step
-// order, so the distributed solvers match halos by step instead of
-// assuming FIFO arrival.
+// Halo values keyed by time step. Halos do not arrive in step order: the
+// heat solver's puts are direct actions, run in delivery order on
+// whichever thread delivers the parcel, which on a lossy fabric (held,
+// reordered, retransmitted frames) is not send order, and the Jacobi
+// solver's are handler tasks that a multi-worker locality may run out of
+// order. So the distributed solvers match halos by step.
 //
 // Allocation-free in steady state: buffered values and waiting getters
 // live in two small vectors searched by step key, which keep their
-// capacity, and a getter's slot lives on its own stack. A put runs on the
-// sender's thread and a get on the receiver's, so a per-halo node would be
-// allocated on one thread and freed on another.
+// capacity, and a getter's slot lives on its own stack. A direct put runs
+// on the sender's thread and a get on the receiver's, so a per-halo node
+// would be allocated on one thread and freed on another.
 #pragma once
 
 #include <algorithm>

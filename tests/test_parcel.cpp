@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <thread>
 
 #include "px/dist/distributed_domain.hpp"
 #include "px/dist/migration.hpp"
 #include "px/lcos/latch.hpp"
+#include "px/lcos/mutex.hpp"
+#include "px/runtime/runtime.hpp"
 #include "px/stencil/heat1d.hpp"
 #include "px/stencil/heat1d_distributed.hpp"
 #include "px/stencil/reference.hpp"
@@ -48,6 +52,13 @@ void direct_waits() {
   never.wait();
 }
 void direct_throws() { throw std::runtime_error("escaped a direct handler"); }
+void direct_yields() { px::this_task::yield(); }
+px::mutex direct_contended;
+std::atomic<bool> direct_locking{false};
+void direct_locks() {
+  direct_locking = true;
+  std::lock_guard<px::mutex> hold(direct_contended);
+}
 
 struct migratable_counter {
   long value = 0;
@@ -70,6 +81,8 @@ PX_REGISTER_DIRECT_ACTION(direct_poke)
 PX_REGISTER_DIRECT_ACTION(direct_double)
 PX_REGISTER_DIRECT_ACTION(direct_waits)
 PX_REGISTER_DIRECT_ACTION(direct_throws)
+PX_REGISTER_DIRECT_ACTION(direct_yields)
+PX_REGISTER_DIRECT_ACTION(direct_locks)
 PX_REGISTER_MIGRATABLE(migratable_counter)
 
 namespace {
@@ -88,14 +101,14 @@ TEST(ActionRegistry, RegistrationAssignsStableIds) {
   auto const id = reg.id_of("add_action");
   EXPECT_GT(id, 0u);
   EXPECT_EQ(reg.name(id), "add_action");
-  EXPECT_NE(reg.handler(id), nullptr);
+  EXPECT_NE(reg.entry(id).handler, nullptr);
   // Re-registration is idempotent.
   EXPECT_EQ(px::parcel::action_traits<&add_action>::id, id);
 }
 
 TEST(ActionRegistry, UnknownActionThrows) {
   auto& reg = px::parcel::action_registry::instance();
-  EXPECT_THROW((void)reg.handler(100000), std::out_of_range);
+  EXPECT_THROW((void)reg.entry(100000), std::out_of_range);
   EXPECT_EQ(reg.id_of("no_such_action"), 0u);
 }
 
@@ -107,13 +120,13 @@ TEST(ActionRegistry, ReRegisteringWithTheOtherDirectFlagThrows) {
   ASSERT_NE(task, 0u);
   EXPECT_TRUE(reg.entry(direct).direct);
   EXPECT_FALSE(reg.entry(task).direct);
-  EXPECT_THROW(reg.add("direct_poke", reg.handler(direct), false),
+  EXPECT_THROW(reg.add("direct_poke", reg.entry(direct).handler, false),
                std::logic_error);
-  EXPECT_THROW(reg.add("add_action", reg.handler(task), true),
+  EXPECT_THROW(reg.add("add_action", reg.entry(task).handler, true),
                std::logic_error);
   // The same flag again stays idempotent.
-  EXPECT_EQ(reg.add("direct_poke", reg.handler(direct), true), direct);
-  EXPECT_EQ(reg.add("add_action", reg.handler(task), false), task);
+  EXPECT_EQ(reg.add("direct_poke", reg.entry(direct).handler, true), direct);
+  EXPECT_EQ(reg.add("add_action", reg.entry(task).handler, false), task);
 }
 
 TEST(DirectAction, RunsOnTheDeliveringThreadWithoutATask) {
@@ -191,6 +204,42 @@ TEST(DirectActionDeathTest, WaitingInADirectHandlerAborts) {
         px::dist::distributed_domain dom(test_domain(2, 0.0));
         dom.run([](px::dist::locality& loc0) {
           loc0.apply<&direct_waits>(1);
+          return 0;
+        });
+      },
+      "a direct action's handler must not wait");
+}
+
+TEST(DirectActionDeathTest, YieldingInADirectHandlerAborts) {
+  // Clean fabric: the handler runs inside the sender's task, on its worker.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        px::dist::distributed_domain dom(test_domain(2, 0.0));
+        dom.run([](px::dist::locality& loc0) {
+          loc0.apply<&direct_yields>(1);
+          return 0;
+        });
+      },
+      "a direct action's handler must not wait");
+}
+
+TEST(DirectActionDeathTest, LockingAContendedMutexOnTheTimerThreadAborts) {
+  // A full modeled delay: the frame is delivered by the timer thread, which
+  // would block on the px::mutex the sender holds.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        px::dist::distributed_domain dom(test_domain(2, 1.0));
+        dom.run([](px::dist::locality& loc0) {
+          std::lock_guard<px::mutex> hold(direct_contended);
+          loc0.apply<&direct_locks>(1);
+          // Hold the mutex until the handler is in lock(), sleeping the OS
+          // thread (a task sleep needs the timer thread): a handler that
+          // blocks instead of aborting gets the mutex and the run ends.
+          while (!direct_locking)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
           return 0;
         });
       },
