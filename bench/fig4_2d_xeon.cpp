@@ -9,11 +9,11 @@
 // noise; both sides use the same statistic. Exits 1 when pack <= auto.
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "px/px.hpp"
 #include "px/stencil/stencil.hpp"
+#include "px/support/affinity.hpp"
 #include "px/support/env.hpp"
 
 namespace {
@@ -28,11 +28,11 @@ gate_result pack_vs_auto_gate() {
   int const runs = 10;
   // Kernel throughput only compares with every worker on a core of its
   // own: oversubscribed fork/join turns each sweep into a timeslice
-  // lottery that drowns the pack-vs-auto signal.
+  // lottery that drowns the pack-vs-auto signal. px::hardware_concurrency
+  // reads the affinity mask, so a pinned run gets one worker per CPU it
+  // may use.
   px::scheduler_config cfg;
-  cfg.num_workers = 4;
-  if (std::size_t const hw = std::thread::hardware_concurrency(); hw != 0)
-    cfg.num_workers = std::min(cfg.num_workers, hw);
+  cfg.num_workers = std::min<std::size_t>(4, px::hardware_concurrency());
   px::runtime rt(cfg);
 
   px::stencil::field2d<float> init(n, n);

@@ -4,8 +4,9 @@
 // to a residual target — provided here on top of the same kernels.
 //
 // Residual: r = max_{x,y} |u - 0.25*(uW + uE + uN + uS)|, the max-norm
-// defect of the Jacobi fixed point, computed with a parallel
-// transform_reduce over rows.
+// defect of the Jacobi fixed point over the nx*ny real cells, computed
+// row-parallel. Padding lanes of a pack field do not count: s[nx] is
+// pinned to the right ghost and its defect never settles.
 #pragma once
 
 #include "px/parallel/algorithms.hpp"
@@ -21,6 +22,16 @@ double jacobi2d_residual(Policy const& policy, field2d<Cell> const& f) {
   std::size_t const ny = f.ny();
   std::size_t const cells = f.cells();
 
+  // Pack fields: real[j] is 1 in the lanes of slot j that hold a real
+  // scalar (x < nx), 0 in its padding lanes.
+  std::vector<Cell> real;
+  if constexpr (field2d<Cell>::vectorized) {
+    real.assign(cells, Cell(scalar(0)));
+    for (std::size_t x = 0; x < f.nx(); ++x)
+      real[simd::vns::slot_of(x, cells)].v[simd::vns::lane_of(x, cells)] =
+          scalar(1);
+  }
+
   std::vector<double> row_max(ny, 0.0);
   parallel::for_loop(policy, 1, ny + 1, [&](std::size_t y) {
     Cell const* const up = f.row(y - 1);
@@ -32,9 +43,11 @@ double jacobi2d_residual(Policy const& policy, field2d<Cell> const& f) {
           (mid[s - 1] + mid[s + 1] + up[s] + down[s]) * Cell(scalar(0.25));
       Cell const defect = mid[s] - stencil_value;
       if constexpr (field2d<Cell>::vectorized) {
+        Cell const zero(scalar(0));
+        Cell const counted = simd::select(cmp_lt(zero, real[s - 1]),
+                                          simd::abs(defect), zero);
         worst = std::max(
-            worst, static_cast<double>(px::simd::reduce_max(
-                       px::simd::abs(defect))));
+            worst, static_cast<double>(simd::reduce_max(counted)));
       } else {
         worst = std::max(worst, std::abs(static_cast<double>(defect)));
       }

@@ -88,26 +88,4 @@ void init_dirichlet_problem(field2d<Cell>& f) {
   f.refresh_all_halos();
 }
 
-// Copies one field's interior + boundaries into a field of another cell
-// type (e.g. scalar -> pack) so both start from identical state.
-template <typename CellDst, typename CellSrc>
-void copy_problem(field2d<CellDst>& dst, field2d<CellSrc> const& src) {
-  PX_ASSERT(dst.nx() == src.nx() && dst.ny() == src.ny());
-  using scalar = typename field2d<CellDst>::scalar;
-  for (std::size_t y = 0; y < src.ny(); ++y)
-    for (std::size_t x = 0; x < src.nx(); ++x)
-      dst.set(x, y, static_cast<scalar>(src.get(x, y)));
-  for (std::size_t y = 0; y < src.ny(); ++y) {
-    dst.set_left_boundary(y, static_cast<scalar>(src.left_boundary(y)));
-    dst.set_right_boundary(y, static_cast<scalar>(src.right_boundary(y)));
-  }
-  // Row ghosts: re-derive through the scalar views of the ghost rows.
-  for (std::size_t x = 0; x < src.nx(); ++x) {
-    dst.set_top_boundary(x, static_cast<scalar>(src.top_boundary_value(x)));
-    dst.set_bottom_boundary(
-        x, static_cast<scalar>(src.bottom_boundary_value(x)));
-  }
-  dst.refresh_all_halos();
-}
-
 }  // namespace px::stencil

@@ -1,6 +1,8 @@
 #include "px/stencil/jacobi2d_distributed.hpp"
 
 #include <memory>
+#include <span>
+#include <type_traits>
 
 #include "px/parallel/algorithms.hpp"
 #include "px/stencil/field2d.hpp"
@@ -69,12 +71,29 @@ struct jblock_args {
   }
 };
 
+// Interior row y (0-based) as the halo row a neighbour ingests.
 template <typename Cell>
 std::vector<double> extract_row(field2d<Cell> const& f, std::size_t y) {
   std::vector<double> row(f.nx());
-  for (std::size_t x = 0; x < f.nx(); ++x)
-    row[x] = static_cast<double>(f.get(x, y));
+  f.read_row(y + 1, row);
   return row;
+}
+
+// A block field holding the block's rows, with the global Dirichlet
+// boundary on all four sides.
+template <typename Cell>
+field2d<Cell> load_block(jblock_args const& args, std::size_t local_ny) {
+  std::span<double const> const rows(args.rows);
+  std::vector<double> const edge(args.nx, args.boundary);
+  field2d<Cell> f(args.nx, local_ny);
+  for (std::size_t y = 0; y < local_ny + 2; ++y) {
+    bool const ghost = y == 0 || y == local_ny + 1;
+    f.write_row(y, ghost ? std::span<double const>(edge)
+                         : rows.subspan((y - 1) * args.nx, args.nx));
+    f.write_row_ghosts(y, ghost ? 0.0 : args.boundary,
+                       ghost ? 0.0 : args.boundary);
+  }
+  return f;
 }
 
 // The block solver, generic over the cell type: `double` is the paper's
@@ -92,26 +111,12 @@ std::vector<double> jacobi_solve_block_impl(px::dist::locality& here,
   std::size_t const local_ny = args.rows.size() / nx;
   PX_ASSERT(local_ny >= 1 && args.rows.size() == local_ny * nx);
 
-  using scalar = typename field2d<Cell>::scalar;
+  static_assert(std::is_same_v<typename field2d<Cell>::scalar, double>);
   // Two ping-pong fields; outer-row ghosts carry either the global
-  // Dirichlet boundary or the neighbour's halo row.
-  field2d<Cell> u[2] = {field2d<Cell>(nx, local_ny),
-                        field2d<Cell>(nx, local_ny)};
-  for (auto& f : u) {
-    for (std::size_t y = 0; y < local_ny; ++y) {
-      f.set_left_boundary(y, scalar(args.boundary));
-      f.set_right_boundary(y, scalar(args.boundary));
-    }
-    for (std::size_t x = 0; x < nx; ++x) {
-      f.set_top_boundary(x, scalar(args.boundary));
-      f.set_bottom_boundary(x, scalar(args.boundary));
-    }
-    f.refresh_all_halos();
-  }
-  for (std::size_t y = 0; y < local_ny; ++y)
-    for (std::size_t x = 0; x < nx; ++x)
-      u[0].set(x, y, scalar(args.rows[y * nx + x]));
-  u[0].refresh_all_halos();
+  // Dirichlet boundary or the neighbour's halo row. u[1]'s interior is
+  // overwritten by the first sweep.
+  field2d<Cell> u[2] = {load_block<Cell>(args, local_ny),
+                        load_block<Cell>(args, local_ny)};
 
   auto policy = execution::par;
   for (std::uint32_t t = 0; t < args.steps; ++t) {
@@ -134,37 +139,22 @@ std::vector<double> jacobi_solve_block_impl(px::dist::locality& here,
     }
 
     // 3. Receive halos into the ghost rows, then update the edge rows.
-    if (has_above) {
-      auto row = state->from_above.get(t);
-      for (std::size_t x = 0; x < nx; ++x)
-        curr.set_top_boundary(x, scalar(row[x]));
-    }
-    if (has_below) {
-      auto row = state->from_below.get(t);
-      for (std::size_t x = 0; x < nx; ++x)
-        curr.set_bottom_boundary(x, scalar(row[x]));
-    }
+    if (has_above) curr.write_row(0, state->from_above.get(t));
+    if (has_below) curr.write_row(local_ny + 1, state->from_below.get(t));
     jacobi2d_row_update(curr, next, 1);  // first interior row
     if (local_ny > 1) jacobi2d_row_update(curr, next, local_ny);
   }
 
-  field2d<Cell> const& fin = u[args.steps % 2];
-  std::vector<double> out(local_ny * nx);
-  for (std::size_t y = 0; y < local_ny; ++y)
-    for (std::size_t x = 0; x < nx; ++x)
-      out[y * nx + x] = static_cast<double>(fin.get(x, y));
-  return out;
+  return interior_snapshot(policy, u[args.steps % 2]);
 }
 
-// The parcel action: dispatches to the scalar or VNS-pack instantiation.
+// The parcel action: dispatches to the scalar or VNS-pack instantiation
+// (any nx: rows that are not a lane multiple use padded VNS segments).
 std::vector<double> jacobi_solve_block(px::dist::locality& here,
                                        jblock_args args) {
-  if (args.use_simd != 0) {
-    using pack_t = px::simd::abi::native<double>;
-    if (args.nx % pack_t::width == 0)
-      return jacobi_solve_block_impl<pack_t>(here, args);
-    // Row length not a lane multiple: fall through to scalar.
-  }
+  if (args.use_simd != 0)
+    return jacobi_solve_block_impl<px::simd::abi::native<double>>(here,
+                                                                  args);
   return jacobi_solve_block_impl<double>(here, args);
 }
 

@@ -20,8 +20,8 @@ struct dist_jacobi_config {
   std::size_t steps = 50;
   double boundary = 1.0;       // Dirichlet value on all four edges
   // Run the block kernels with explicit VNS packs (native width) instead
-  // of the compiler-auto-vectorized scalar path. Falls back to scalar when
-  // nx is not a lane multiple.
+  // of the compiler-auto-vectorized scalar path, at any nx (rows that are
+  // not a lane multiple use padded VNS segments).
   bool use_simd = false;
 };
 

@@ -58,32 +58,23 @@ struct vns_run_result {
   std::vector<T> interior;
 };
 
-template <typename Field>
-[[nodiscard]] std::vector<typename Field::scalar> interior_snapshot(
-    Field const& f) {
-  std::vector<typename Field::scalar> out(f.nx() * f.ny());
-  for (std::size_t y = 0; y < f.ny(); ++y)
-    for (std::size_t x = 0; x < f.nx(); ++x)
-      out[y * f.nx() + x] = f.get(x, y);
-  return out;
-}
-
 // Runs `steps` pack-cell Jacobi sweeps starting from the scalar field's
 // state (interior + boundaries), with the pack width chosen by `abi`.
-// Arbitrary nx is handled by field2d's padded VNS segments.
+// Arbitrary nx is handled by field2d's padded VNS segments. Building the
+// two fields and reading the answer back run row-parallel under `policy`
+// too, so the whole call is timed end to end the way it is paid.
 template <typename T, typename Policy>
 vns_run_result<T> run_jacobi2d_vns(Policy const& policy, vns_abi abi,
                                    field2d<T> const& initial,
                                    std::size_t steps) {
   return with_vns_pack<T>(abi, [&](auto tag) {
     using P = typename decltype(tag)::type;
-    field2d<P> u0(initial.nx(), initial.ny());
-    field2d<P> u1(initial.nx(), initial.ny());
-    copy_problem(u0, initial);
-    copy_problem(u1, initial);
+    field2d<P> u0(policy, initial);
+    field2d<P> u1(policy, initial);
     vns_run_result<T> r;
     r.timing = run_jacobi2d(policy, u0, u1, steps);
-    r.interior = interior_snapshot(r.timing.final_index == 0 ? u0 : u1);
+    r.interior =
+        interior_snapshot(policy, r.timing.final_index == 0 ? u0 : u1);
     return r;
   });
 }
@@ -94,13 +85,11 @@ template <typename T, typename Policy>
 vns_run_result<T> run_jacobi2d_auto(Policy const& policy,
                                     field2d<T> const& initial,
                                     std::size_t steps) {
-  field2d<T> u0(initial.nx(), initial.ny());
-  field2d<T> u1(initial.nx(), initial.ny());
-  copy_problem(u0, initial);
-  copy_problem(u1, initial);
+  field2d<T> u0(policy, initial);
+  field2d<T> u1(policy, initial);
   vns_run_result<T> r;
   r.timing = run_jacobi2d(policy, u0, u1, steps);
-  r.interior = interior_snapshot(r.timing.final_index == 0 ? u0 : u1);
+  r.interior = interior_snapshot(policy, r.timing.final_index == 0 ? u0 : u1);
   return r;
 }
 

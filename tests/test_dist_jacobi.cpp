@@ -102,7 +102,10 @@ TEST(DistJacobi, SimdBlocksMatchScalarBlocksBitwise) {
     ASSERT_EQ(scalar.values[i], simd.values[i]) << i;
 }
 
-TEST(DistJacobi, SimdFallsBackWhenRowNotLaneMultiple) {
+TEST(DistJacobi, SimdBlocksPadRowsNotLaneMultiple) {
+  // A row that is not a lane multiple runs in padded VNS segments, not in
+  // scalar cells: same answer as the reference, and bitwise as the scalar
+  // blocks.
   dist_jacobi_config cfg;
   cfg.nx = 17;  // never a lane multiple
   cfg.ny_total = 9;
@@ -114,6 +117,13 @@ TEST(DistJacobi, SimdFallsBackWhenRowNotLaneMultiple) {
   auto ref = reference_jacobi2d_interior(initial, cfg.nx, cfg.ny_total,
                                          cfg.steps, cfg.boundary);
   EXPECT_LT(max_abs_diff(result.values, ref), 1e-13);
+
+  cfg.use_simd = false;
+  px::dist::distributed_domain dom_scalar(dcfg(2));
+  auto scalar = run_distributed_jacobi2d(dom_scalar, initial, cfg);
+  ASSERT_EQ(scalar.values.size(), result.values.size());
+  for (std::size_t i = 0; i < scalar.values.size(); ++i)
+    ASSERT_EQ(scalar.values[i], result.values[i]) << i;
 }
 
 TEST(DistJacobi, CustomBoundaryValue) {

@@ -1,9 +1,21 @@
 // Tests for the field2d container in both scalar and pack (VNS) modes:
-// element views, boundaries, halo construction.
+// element views, boundaries, halo construction, and the row codec: the
+// one-pass field2d(policy, src) fill and interior_snapshot against the
+// per-cell views, in every storage cell.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "px/px.hpp"
 #include "px/stencil/field2d.hpp"
 #include "px/stencil/jacobi2d.hpp"
+#include "px/stencil/jacobi2d_vns.hpp"
+#include "px/support/aligned.hpp"
 
 namespace {
 
@@ -228,6 +240,198 @@ TYPED_TEST(Field2dTyped, OneJacobiSweepMatchesScalarField) {
     for (std::size_t x = 0; x < nx; ++x)
       ASSERT_NEAR(static_cast<double>(a1.get(x, y)), s1.get(x, y), tol)
           << "x=" << x << " y=" << y;
+}
+
+// ---- the row codec: field2d(policy, src) and interior_snapshot ------------
+
+// The per-cell copy the row codec replaced, kept as the oracle: a zeroing
+// constructor followed by this defines every storage cell of a fill.
+template <typename CellDst, typename CellSrc>
+void per_cell_copy(field2d<CellDst>& dst, field2d<CellSrc> const& src) {
+  using scalar = typename field2d<CellDst>::scalar;
+  for (std::size_t y = 0; y < src.ny(); ++y)
+    for (std::size_t x = 0; x < src.nx(); ++x)
+      dst.set(x, y, static_cast<scalar>(src.get(x, y)));
+  for (std::size_t y = 0; y < src.ny(); ++y) {
+    dst.set_left_boundary(y, static_cast<scalar>(src.left_boundary(y)));
+    dst.set_right_boundary(y, static_cast<scalar>(src.right_boundary(y)));
+  }
+  for (std::size_t x = 0; x < src.nx(); ++x) {
+    dst.set_top_boundary(x, static_cast<scalar>(src.top_boundary_value(x)));
+    dst.set_bottom_boundary(
+        x, static_cast<scalar>(src.bottom_boundary_value(x)));
+  }
+  dst.refresh_all_halos();
+}
+
+// A problem with a different value in every interior cell and on every
+// boundary, so a cell copied from the wrong place shows.
+template <typename T>
+field2d<T> distinct_problem(std::size_t nx, std::size_t ny) {
+  field2d<T> f(nx, ny);
+  for (std::size_t y = 0; y < ny; ++y) {
+    for (std::size_t x = 0; x < nx; ++x)
+      f.set(x, y, static_cast<T>(std::sin(0.37 * double(x) + 1.3 * double(y))));
+    f.set_left_boundary(y, static_cast<T>(2.0 + 0.01 * double(y)));
+    f.set_right_boundary(y, static_cast<T>(-3.0 - 0.01 * double(y)));
+  }
+  for (std::size_t x = 0; x < nx; ++x) {
+    f.set_top_boundary(x, static_cast<T>(5.0 + 0.001 * double(x)));
+    f.set_bottom_boundary(x, static_cast<T>(-7.0 - 0.001 * double(x)));
+  }
+  return f;
+}
+
+// Leaves `bytes` of all-ones memory (a NaN in every float and double) free
+// on the calling thread's heap, so the field allocated next of that size
+// reuses it: a cell the fill skips then reads back as NaN, not as a fresh
+// page's zero. The first round trip raises glibc's dynamic mmap threshold
+// past `bytes`, so the second and the field come from the heap.
+void dirty_heap(std::size_t bytes) {
+  for (int round = 0; round < 2; ++round) {
+    void* p = px::aligned_alloc_bytes(bytes, 64);
+    std::memset(p, 0xff, bytes);
+    asm volatile("" : : "r"(p) : "memory");  // keep the fill before free
+    px::aligned_free(p);
+  }
+}
+
+// First storage cell (column ghosts, halo packs, padding lanes, ghost rows
+// and their corners included) where a and b differ bitwise; "" if none.
+template <typename Cell>
+std::string first_difference(field2d<Cell> const& a, field2d<Cell> const& b) {
+  if (a.nx() != b.nx() || a.ny() != b.ny()) return "shape";
+  for (std::size_t y = 0; y < a.ny() + 2; ++y)
+    for (std::size_t s = 0; s < a.row_stride(); ++s)
+      if (std::memcmp(&a.cell(s, y), &b.cell(s, y), sizeof(Cell)) != 0)
+        return "cell s=" + std::to_string(s) + " y=" + std::to_string(y);
+  for (std::size_t y = 0; y < a.ny(); ++y)
+    if (a.left_boundary(y) != b.left_boundary(y) ||
+        a.right_boundary(y) != b.right_boundary(y))
+      return "column ghost y=" + std::to_string(y);
+  return "";
+}
+
+std::vector<std::size_t> const codec_nx = {5, 32, 33, 1024, 1027};
+// 256 rows: `par` forks the wide rows' fill, `par.with(7)` forks any nx.
+constexpr std::size_t codec_ny = 256;
+
+px::scheduler_config four_workers() {
+  px::scheduler_config c;
+  c.num_workers = 4;
+  return c;
+}
+
+// Fills a Cell field from a T problem under `par` (measured grain) and
+// under a fixed 7-row chunk (forks at every nx), each on a dirtied heap,
+// and compares every storage cell with the per-cell oracle and with the
+// zeroing constructor plus copy_problem.
+template <typename Cell, typename T>
+void fill_case(px::runtime& rt, std::size_t nx, std::string const& what) {
+  auto const src = distinct_problem<T>(nx, codec_ny);
+  field2d<Cell> oracle(nx, codec_ny);
+  per_cell_copy(oracle, src);
+  field2d<Cell> copied(nx, codec_ny);
+  px::stencil::copy_problem(copied, src);
+  ASSERT_EQ(first_difference(copied, oracle), "") << what << " nx=" << nx;
+
+  std::size_t const bytes = oracle.row_stride() * (codec_ny + 2) * sizeof(Cell);
+  auto const fill = [&](auto const& policy) {
+    return px::sync_wait(rt, [&] {
+      dirty_heap(bytes);
+      return field2d<Cell>(policy, src);
+    });
+  };
+  EXPECT_EQ(first_difference(fill(px::execution::par), oracle), "")
+      << what << " par nx=" << nx;
+  EXPECT_EQ(first_difference(fill(px::execution::par.with(7)), oracle), "")
+      << what << " par.with(7) nx=" << nx;
+}
+
+// Runs `fn(type_identity<Cell>, name)` for T's scalar cells and for the
+// pack of every vns_abi preset.
+template <typename T, typename Fn>
+void for_each_cell_kind(Fn&& fn) {
+  fn(std::type_identity<T>{}, std::string("scalar"));
+  for (auto abi : px::stencil::vns_abi_presets)
+    px::stencil::with_vns_pack<T>(abi, [&](auto tag) {
+      fn(tag, std::string(px::stencil::vns_abi_name(abi)));
+    });
+}
+
+template <typename T>
+void fill_all_cases() {
+  px::runtime rt(four_workers());
+  for_each_cell_kind<T>([&](auto tag, std::string const& what) {
+    using Cell = typename decltype(tag)::type;
+    for (std::size_t nx : codec_nx) fill_case<Cell, T>(rt, nx, what);
+  });
+}
+
+TEST(Field2dRowFill, EveryStorageCellMatchesPerCellCopyDouble) {
+  fill_all_cases<double>();
+}
+
+TEST(Field2dRowFill, EveryStorageCellMatchesPerCellCopyFloat) {
+  fill_all_cases<float>();
+}
+
+template <typename T>
+bool bitwise_equal(std::vector<T> const& a, std::vector<T> const& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(Field2dRowFill, ConvertsFromAnyCellType) {
+  // A pack<float> source decodes row-wise and widens into double cells.
+  px::runtime rt(four_workers());
+  for (std::size_t nx : codec_nx) {
+    field2d<pack<float, 4>> src(nx, codec_ny);
+    per_cell_copy(src, distinct_problem<float>(nx, codec_ny));
+    field2d<double> oracle(nx, codec_ny);
+    per_cell_copy(oracle, src);
+    auto const filled = px::sync_wait(
+        rt, [&] { return field2d<double>(px::execution::par, src); });
+    EXPECT_EQ(first_difference(filled, oracle), "") << "nx=" << nx;
+  }
+}
+
+// interior_snapshot under par and seq against the per-cell view, after a
+// few sweeps so the padding lanes hold junk the decode must skip.
+template <typename T>
+void snapshot_all_cases() {
+  px::runtime rt(four_workers());
+  for_each_cell_kind<T>([&](auto tag, std::string const& what) {
+    using Cell = typename decltype(tag)::type;
+    for (std::size_t nx : codec_nx) {
+      auto const src = distinct_problem<T>(nx, codec_ny);
+      field2d<Cell> u0(nx, codec_ny), u1(nx, codec_ny);
+      per_cell_copy(u0, src);
+      per_cell_copy(u1, src);
+      auto const [par, seq] = px::sync_wait(rt, [&] {
+        px::stencil::run_jacobi2d(px::execution::par, u0, u1, 3);
+        return std::make_pair(
+            px::stencil::interior_snapshot(px::execution::par, u1),
+            px::stencil::interior_snapshot(px::execution::seq, u1));
+      });
+      std::vector<T> per_cell(nx * codec_ny);
+      for (std::size_t y = 0; y < codec_ny; ++y)
+        for (std::size_t x = 0; x < nx; ++x)
+          per_cell[y * nx + x] = u1.get(x, y);
+      EXPECT_TRUE(bitwise_equal(par, per_cell)) << what << " par nx=" << nx;
+      EXPECT_TRUE(bitwise_equal(seq, per_cell)) << what << " seq nx=" << nx;
+      EXPECT_TRUE(bitwise_equal(px::stencil::interior_snapshot(u1), seq))
+          << what << " nx=" << nx;
+    }
+  });
+}
+
+TEST(Field2dSnapshot, ParAndSeqMatchPerCellGetDouble) {
+  snapshot_all_cases<double>();
+}
+
+TEST(Field2dSnapshot, ParAndSeqMatchPerCellGetFloat) {
+  snapshot_all_cases<float>();
 }
 
 }  // namespace

@@ -246,10 +246,14 @@ TEST(Jacobi2dVns, PackAndAutoBitwiseIdenticalForDoubles) {
   // Identical expression per element, mul-last (no FMA contraction), so
   // doubles must agree bitwise with the scalar-cell (auto-vectorized)
   // solver at every preset width, including odd nx with padded segments.
+  // The 1027x256 problem is large enough for `par` to fork the row fill,
+  // the sweeps and the snapshot.
   px::runtime rt(cfg3());
+  std::pair<std::size_t, std::size_t> const shapes[] = {
+      {32, 10}, {33, 10}, {1027, 256}};
   for (vns_abi abi : vns_abi_presets) {
-    for (std::size_t nx : {32, 33}) {
-      field2d<double> initial(nx, 10);
+    for (auto const& [nx, ny] : shapes) {
+      field2d<double> initial(nx, ny);
       init_dirichlet_problem(initial);
       auto [vns_run, auto_run] = px::sync_wait(rt, [&] {
         return std::make_pair(
