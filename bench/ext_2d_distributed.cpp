@@ -28,13 +28,13 @@ void real_run(bool use_simd) {
 
   dist_jacobi_config cfg;
   cfg.nx = px::env_size("PX_NX").value_or(256);
-  cfg.ny_total = px::env_size("PX_NY").value_or(128);
+  std::size_t const ny = px::env_size("PX_NY").value_or(128);
   cfg.steps = px::env_size("PX_STEPS").value_or(20);
   cfg.use_simd = use_simd;
-  std::vector<double> initial(cfg.nx * cfg.ny_total, 0.0);
+  std::vector<double> initial(cfg.nx * ny, 0.0);
   auto result = run_distributed_jacobi2d(dom, initial, cfg);
-  auto ref = reference_jacobi2d_interior(initial, cfg.nx, cfg.ny_total,
-                                         cfg.steps, cfg.boundary);
+  auto ref = reference_jacobi2d_interior(initial, cfg.nx, ny, cfg.steps,
+                                         cfg.boundary);
   std::printf("  %-12s %7.1f MLUP/s, %5llu halo msgs / %7llu bytes, "
               "max err %.1e\n",
               use_simd ? "VNS packs" : "scalar", result.glups * 1e3,

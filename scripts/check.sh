@@ -3,13 +3,18 @@
 # Run from anywhere; builds into <repo>/build. The tier-1 build sets
 # PX_WERROR, so a new compiler warning fails it.
 #
-# A second, sanitizer lane (ASan + UBSan, build-san/) then re-runs the
-# transport-heavy suites — fault injection exercises timer/ack races that
-# only a sanitizer can vouch for — and the field2d/Jacobi suites, whose
-# row codec writes whole padded rows: a write past a row fails there, and
-# ASan fills every fresh allocation with 0xbe bytes (not only its first
-# 4 KB, ASan's default), so a cell the row fill skips fails the bitwise
-# fill tests. Skip it with PX_SKIP_SAN=1.
+# A second, sanitizer lane (ASan + UBSan, build-san/) then re-runs three
+# groups of suites. Skip it with PX_SKIP_SAN=1.
+#  * The transport-heavy suites: fault injection exercises timer/ack
+#    races that only a sanitizer can vouch for.
+#  * The field2d/Jacobi suites, whose row codec writes whole padded rows:
+#    a write past a row fails there, and ASan fills every fresh allocation
+#    with 0xbe bytes (not only its first 4 KB, ASan's default), so a cell
+#    the row fill skips fails the bitwise fill tests.
+#  * The two distributed stencil suites, which run the one partition
+#    component and driver both solvers share: destroyed components, weak
+#    mailbox references in confirm hooks, and mailbox drains during
+#    migration.
 #
 # --torture: instead of the tiers above, build and run only the
 # ctest-labeled torture suites (px::torture seed sweeps) with a big seed
@@ -131,8 +136,9 @@ cmake -B "$repo/build-san" -S "$repo" \
   -DPX_SANITIZE=ON -DPX_BUILD_BENCH=OFF -DPX_BUILD_EXAMPLES=OFF
 cmake --build "$repo/build-san" -j \
   --target test_fault_injection --target test_parcel \
-  --target test_field2d --target test_jacobi2d
+  --target test_field2d --target test_jacobi2d \
+  --target test_dist_heat --target test_dist_jacobi
 (cd "$repo/build-san" && \
  ASAN_OPTIONS="max_malloc_fill_size=1073741824${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
  ctest --output-on-failure \
-  -R 'test_fault_injection|test_parcel|test_field2d|test_jacobi2d')
+  -R 'test_fault_injection|test_parcel|test_field2d|test_jacobi2d|test_dist_heat|test_dist_jacobi')

@@ -393,11 +393,11 @@ void locality::apply_component(agas::gid g, Args&&... args) {
 
 }  // namespace px::dist
 
-#define PX_DETAIL_REGISTER_ACTION(fn, direct)                                \
+#define PX_DETAIL_REGISTER_ACTION(fn, tag, direct)                           \
   namespace {                                                                \
-  [[maybe_unused]] ::std::uint32_t const px_action_registered_##fn = [] {    \
+  [[maybe_unused]] ::std::uint32_t const px_action_registered_##tag = [] {   \
     auto const id = ::px::parcel::action_registry::instance().add(           \
-        #fn, &::px::dist::detail::invoke_action<&fn>, direct);               \
+        #tag, &::px::dist::detail::invoke_action<&fn>, direct);              \
     ::px::parcel::action_traits<&fn>::id = id;                               \
     return id;                                                               \
   }();                                                                       \
@@ -406,7 +406,7 @@ void locality::apply_component(agas::gid g, Args&&... args) {
 // Registers a free function (unqualified name, visible in this TU) as a
 // remotely invocable action. Must appear at namespace scope. Each arriving
 // parcel becomes a task on the destination locality.
-#define PX_REGISTER_ACTION(fn) PX_DETAIL_REGISTER_ACTION(fn, false)
+#define PX_REGISTER_ACTION(fn) PX_DETAIL_REGISTER_ACTION(fn, fn, false)
 
 // Registers a direct action (HPX's direct actions): deliver() calls its
 // handler inline on the thread that delivers the parcel, with no task. That
@@ -416,4 +416,11 @@ void locality::apply_component(agas::gid g, Args&&... args) {
 // wait: a task suspension, an LCO read or a blocking LCO wait inside it
 // fails an assertion. It should be short: a put into an LCO, a counter
 // bump.
-#define PX_REGISTER_DIRECT_ACTION(fn) PX_DETAIL_REGISTER_ACTION(fn, true)
+#define PX_REGISTER_DIRECT_ACTION(fn) PX_DETAIL_REGISTER_ACTION(fn, fn, true)
+
+// Tagged forms, for function template instances (`round<heat_shape>`),
+// whose name is not an identifier: `tag` names the action instead, and
+// must be unique in the process.
+#define PX_REGISTER_ACTION_AS(fn, tag) PX_DETAIL_REGISTER_ACTION(fn, tag, false)
+#define PX_REGISTER_DIRECT_ACTION_AS(fn, tag) \
+  PX_DETAIL_REGISTER_ACTION(fn, tag, true)

@@ -9,9 +9,9 @@
 //
 // This complements the two other 1D implementations:
 //   run_heat1d             bulk-synchronous for_each per step (Listing 1)
-//   run_distributed_heat1d GID-addressed partition components across
-//                          localities, halos as parcels (optionally
-//                          checkpointed or rebalanced)
+//   run_distributed_heat1d the 1D shape of the distributed stencil driver:
+//                          GID-addressed partitions across localities,
+//                          halos as parcels (checkpointing, rebalancing)
 //   run_heat1d_dataflow    this file: futures all the way down
 // All three produce identical results (tested).
 #pragma once

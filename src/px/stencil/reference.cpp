@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "px/support/assert.hpp"
 
@@ -50,6 +51,24 @@ std::vector<double> reference_jacobi2d(std::vector<double> u, std::size_t nx,
     u.swap(next);
   }
   return u;
+}
+
+std::vector<double> reference_jacobi2d_interior(std::vector<double> interior,
+                                                std::size_t nx,
+                                                std::size_t ny,
+                                                std::size_t steps,
+                                                double boundary) {
+  std::size_t const stride = nx + 2;
+  std::vector<double> u(stride * (ny + 2), boundary);
+  for (std::size_t y = 0; y < ny; ++y)
+    for (std::size_t x = 0; x < nx; ++x)
+      u[(y + 1) * stride + x + 1] = interior[y * nx + x];
+  auto full = reference_jacobi2d(std::move(u), nx, ny, steps);
+  std::vector<double> out(ny * nx);
+  for (std::size_t y = 0; y < ny; ++y)
+    for (std::size_t x = 0; x < nx; ++x)
+      out[y * nx + x] = full[(y + 1) * stride + x + 1];
+  return out;
 }
 
 std::vector<double> reference_jacobi3d(std::vector<double> u, std::size_t nx,

@@ -28,6 +28,12 @@ namespace px::stencil {
     std::vector<double> u_with_ghosts, std::size_t nx, std::size_t ny,
     std::size_t steps);
 
+// reference_jacobi2d on an ny x nx row-major interior with the Dirichlet
+// value `boundary` on all four edges; returns the interior, same layout.
+[[nodiscard]] std::vector<double> reference_jacobi2d_interior(
+    std::vector<double> interior, std::size_t nx, std::size_t ny,
+    std::size_t steps, double boundary);
+
 // Serial 7-point Jacobi on a scalar 3D grid with ghost ring. `u` has
 // (nz+2) x (ny+2) x (nx+2) scalars, x fastest, row-major; returns the grid
 // after `steps` sweeps of the interior. Update order matches the blocked

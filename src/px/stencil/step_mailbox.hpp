@@ -1,10 +1,10 @@
 // px/stencil/step_mailbox.hpp
 // Halo values keyed by time step. Halos do not arrive in step order: the
-// heat solver's puts are direct actions, run in delivery order on
-// whichever thread delivers the parcel, which on a lossy fabric (held,
-// reordered, retransmitted frames) is not send order, and the Jacobi
-// solver's are handler tasks that a multi-worker locality may run out of
-// order. So the distributed solvers match halos by step.
+// distributed stencil partitions' halo puts (a cell in 1D, a row in 2D)
+// are direct actions, run in delivery order on whichever thread delivers
+// the parcel, which on a lossy fabric (held, reordered, retransmitted
+// frames) is not send order. So the distributed solvers match halos by
+// step.
 //
 // Allocation-free in steady state: buffered values and waiting getters
 // live in two small vectors searched by step key, which keep their

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "px/px.hpp"
 #include "px/stencil/stencil.hpp"
@@ -10,12 +13,13 @@
 namespace {
 
 using namespace px::stencil;
+using px::counters::builtin;
 
-px::dist::domain_config dcfg(std::size_t n) {
+px::dist::domain_config dcfg(std::size_t n, double injection = 0.001) {
   px::dist::domain_config c;
   c.num_localities = n;
   c.locality_cfg.num_workers = 2;
-  c.injection_scale = 0.001;
+  c.injection_scale = injection;
   return c;
 }
 
@@ -28,6 +32,13 @@ std::vector<double> wavy_interior(std::size_t nx, std::size_t ny) {
   return v;
 }
 
+std::vector<double> reference(std::vector<double> const& initial,
+                              dist_jacobi_config const& cfg) {
+  return reference_jacobi2d_interior(initial, cfg.nx,
+                                     initial.size() / cfg.nx, cfg.steps,
+                                     cfg.boundary);
+}
+
 class DistJacobiLocalities : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DistJacobiLocalities, MatchesSerialReference) {
@@ -35,14 +46,10 @@ TEST_P(DistJacobiLocalities, MatchesSerialReference) {
   px::dist::distributed_domain dom(dcfg(nloc));
   dist_jacobi_config cfg;
   cfg.nx = 24;
-  cfg.ny_total = 37;  // ragged row blocks
   cfg.steps = 15;
-  auto initial = wavy_interior(cfg.nx, cfg.ny_total);
+  auto initial = wavy_interior(cfg.nx, 37);  // ragged row blocks
   auto result = run_distributed_jacobi2d(dom, initial, cfg);
-  auto ref = reference_jacobi2d_interior(initial, cfg.nx, cfg.ny_total,
-                                         cfg.steps, cfg.boundary);
-  ASSERT_EQ(result.values.size(), ref.size());
-  EXPECT_LT(max_abs_diff(result.values, ref), 1e-13) << nloc;
+  EXPECT_TRUE(result.values == reference(initial, cfg)) << nloc;
 }
 
 INSTANTIATE_TEST_SUITE_P(Localities, DistJacobiLocalities,
@@ -54,13 +61,10 @@ TEST(DistJacobi, SingleRowBlocks) {
   px::dist::distributed_domain dom(dcfg(6));
   dist_jacobi_config cfg;
   cfg.nx = 16;
-  cfg.ny_total = 6;
   cfg.steps = 10;
-  auto initial = wavy_interior(cfg.nx, cfg.ny_total);
+  auto initial = wavy_interior(cfg.nx, 6);
   auto result = run_distributed_jacobi2d(dom, initial, cfg);
-  auto ref = reference_jacobi2d_interior(initial, cfg.nx, cfg.ny_total,
-                                         cfg.steps, cfg.boundary);
-  EXPECT_LT(max_abs_diff(result.values, ref), 1e-13);
+  EXPECT_TRUE(result.values == reference(initial, cfg));
 }
 
 TEST(DistJacobi, HaloTrafficScalesWithRowLength) {
@@ -68,9 +72,8 @@ TEST(DistJacobi, HaloTrafficScalesWithRowLength) {
     px::dist::distributed_domain dom(dcfg(2));
     dist_jacobi_config cfg;
     cfg.nx = nx;
-    cfg.ny_total = 8;
     cfg.steps = 5;
-    auto initial = wavy_interior(cfg.nx, cfg.ny_total);
+    auto initial = wavy_interior(cfg.nx, 8);
     auto result = run_distributed_jacobi2d(dom, initial, cfg);
     return result.halo_bytes;
   };
@@ -86,9 +89,8 @@ TEST(DistJacobi, SimdBlocksMatchScalarBlocksBitwise) {
   // scalar path bitwise (doubles, same per-element expression).
   dist_jacobi_config cfg;
   cfg.nx = 32;  // lane multiple for every plausible native width
-  cfg.ny_total = 21;
   cfg.steps = 12;
-  auto initial = wavy_interior(cfg.nx, cfg.ny_total);
+  auto initial = wavy_interior(cfg.nx, 21);
 
   px::dist::distributed_domain dom_scalar(dcfg(3));
   auto scalar = run_distributed_jacobi2d(dom_scalar, initial, cfg);
@@ -108,15 +110,12 @@ TEST(DistJacobi, SimdBlocksPadRowsNotLaneMultiple) {
   // blocks.
   dist_jacobi_config cfg;
   cfg.nx = 17;  // never a lane multiple
-  cfg.ny_total = 9;
   cfg.steps = 8;
   cfg.use_simd = true;
-  auto initial = wavy_interior(cfg.nx, cfg.ny_total);
+  auto initial = wavy_interior(cfg.nx, 9);
   px::dist::distributed_domain dom(dcfg(2));
   auto result = run_distributed_jacobi2d(dom, initial, cfg);
-  auto ref = reference_jacobi2d_interior(initial, cfg.nx, cfg.ny_total,
-                                         cfg.steps, cfg.boundary);
-  EXPECT_LT(max_abs_diff(result.values, ref), 1e-13);
+  EXPECT_TRUE(result.values == reference(initial, cfg));
 
   cfg.use_simd = false;
   px::dist::distributed_domain dom_scalar(dcfg(2));
@@ -130,14 +129,109 @@ TEST(DistJacobi, CustomBoundaryValue) {
   px::dist::distributed_domain dom(dcfg(2));
   dist_jacobi_config cfg;
   cfg.nx = 8;
-  cfg.ny_total = 8;
   cfg.steps = 400;
   cfg.boundary = -2.5;
-  std::vector<double> initial(cfg.nx * cfg.ny_total, 0.0);
+  std::vector<double> initial(cfg.nx * 8, 0.0);
   auto result = run_distributed_jacobi2d(dom, initial, cfg);
   // Long runs converge to the boundary value.
   for (double v : result.values) EXPECT_NEAR(v, -2.5, 1e-3);
 }
+
+// Coalesced halo rows leave at the step boundary (an explicit flush), not
+// when a coalescing deadline expires.
+TEST(DistJacobi, CoalescedHalosFlushAtTheStepBoundary) {
+  for (std::size_t const steps : {10u, 40u}) {
+    auto c = dcfg(4, 0.0);
+    c.coalescing.enabled = true;
+    px::dist::distributed_domain dom(c);
+    dist_jacobi_config cfg;
+    cfg.nx = 64;
+    cfg.steps = steps;
+    auto const initial = wavy_interior(cfg.nx, 32);
+    auto const explicit0 = builtin().net_flushes_explicit.load();
+    auto const deadline0 = builtin().net_flushes_deadline.load();
+    auto const out = run_distributed_jacobi2d(dom, initial, cfg);
+    auto const explicit_flushes =
+        builtin().net_flushes_explicit.load() - explicit0;
+    auto const deadline_flushes =
+        builtin().net_flushes_deadline.load() - deadline0;
+    dom.wait_all_quiescent();
+    EXPECT_GT(explicit_flushes, deadline_flushes) << steps << " steps";
+    EXPECT_TRUE(out.values == reference(initial, cfg)) << steps << " steps";
+  }
+}
+
+// One initial field through every solver mode, with scalar cells and with
+// VNS packs (nx 17 pads every pack row): each answer must equal the serial
+// reference bit for bit, whatever the split, placement or fabric.
+struct jacobi_mode {
+  std::string name;
+  std::size_t partitions;  // 0 = one per locality
+  double zipf_s;
+  bool rebalance;
+  std::size_t checkpoint_interval;
+  bool lossy;  // 1% drop/dup/reorder, coalescing + LZ
+  bool use_simd;
+
+  friend void PrintTo(jacobi_mode const& m, std::ostream* os) {
+    *os << m.name;
+  }
+};
+
+std::vector<jacobi_mode> jacobi_modes() {
+  std::vector<jacobi_mode> const base = {
+      {"uniform", 0, 0.0, false, 0, false, false},
+      {"zipf16", 16, 1.1, false, 0, false, false},
+      {"zipf16_rebalanced", 16, 1.1, true, 0, false, false},
+      {"checkpointed", 0, 0.0, false, 5, false, false},
+      {"lossy_coalesced_lz", 0, 0.0, false, 0, true, false}};
+  std::vector<jacobi_mode> out;
+  for (bool const simd : {false, true}) {
+    for (jacobi_mode m : base) {
+      m.use_simd = simd;
+      m.name += simd ? "_simd" : "_scalar";
+      out.push_back(m);
+    }
+  }
+  return out;
+}
+
+class DistJacobiModes : public ::testing::TestWithParam<jacobi_mode> {};
+
+TEST_P(DistJacobiModes, BitwiseEqualsReference) {
+  jacobi_mode const m = GetParam();
+  auto c = dcfg(4, 0.0);
+  if (m.lossy) {
+    c.faults.drop = 0.01;
+    c.faults.duplicate = 0.01;
+    c.faults.reorder = 0.01;
+    c.faults.seed = 7;
+    c.coalescing.enabled = true;
+    c.coalescing.compress = true;
+  }
+  px::dist::distributed_domain dom(c);
+  dist_jacobi_config cfg;
+  cfg.nx = 17;
+  cfg.steps = 40;
+  cfg.use_simd = m.use_simd;
+  cfg.partitions = m.partitions;
+  cfg.zipf_s = m.zipf_s;
+  cfg.rebalance_cfg.enabled = m.rebalance;
+  cfg.checkpoint_interval = m.checkpoint_interval;
+  auto const initial = wavy_interior(cfg.nx, 48);  // 16 zipf partitions fit
+  auto const out = run_distributed_jacobi2d(dom, initial, cfg);
+  dom.wait_all_quiescent();
+  EXPECT_TRUE(out.values == reference(initial, cfg));
+  if (m.rebalance) {
+    EXPECT_GT(out.migrations, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, DistJacobiModes,
+                         ::testing::ValuesIn(jacobi_modes()),
+                         [](::testing::TestParamInfo<jacobi_mode> const& m) {
+                           return m.param.name;
+                         });
 
 // ---- cache-blocked variant --------------------------------------------------
 

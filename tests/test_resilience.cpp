@@ -29,6 +29,8 @@
 #include "px/resilience/replay.hpp"
 #include "px/stencil/heat1d.hpp"
 #include "px/stencil/heat1d_distributed.hpp"
+#include "px/stencil/jacobi2d_distributed.hpp"
+#include "px/stencil/reference.hpp"
 #include "px/torture/forall.hpp"
 #include "px/torture/invariant.hpp"
 
@@ -781,6 +783,63 @@ TEST(HeatKill, SixteenSeedTortureSweepStaysBitwiseIdentical) {
       },
       opts);
   EXPECT_TRUE(r.passed) << "seed " << r.failing_seed << ": " << r.message;
+}
+
+// ---- 2D Jacobi kill + restore ---------------------------------------------
+// The 2D solver runs on the same partition component and driver as the
+// heat solver, so it inherits its checkpointing and kill recovery.
+
+px::stencil::dist_jacobi_config jacobi_kill_solver_cfg() {
+  px::stencil::dist_jacobi_config jc;
+  jc.nx = 16;
+  jc.steps = 60;
+  jc.checkpoint_interval = 10;
+  jc.max_recoveries = 8;
+  return jc;
+}
+
+std::vector<double> jacobi_kill_initial(std::size_t nx, std::size_t ny) {
+  std::vector<double> v(nx * ny);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = static_cast<double>((i * 37) % 101) / 101.0;
+  return v;
+}
+
+TEST(JacobiKill, KillOneLocalityRunIsBitwiseIdenticalToFaultFree) {
+  auto const jc = jacobi_kill_solver_cfg();
+  auto const initial = jacobi_kill_initial(jc.nx, 24);  // 3 rows a locality
+
+  px::dist::domain_config clean = heat_kill_cfg();
+  clean.resilience.enabled = false;
+  px::dist::distributed_domain clean_dom(clean);
+  auto const baseline =
+      px::stencil::run_distributed_jacobi2d(clean_dom, initial, jc);
+  clean_dom.wait_all_quiescent();
+  EXPECT_TRUE(baseline.values ==
+              px::stencil::reference_jacobi2d_interior(
+                  initial, jc.nx, 24, jc.steps, jc.boundary));
+
+  px::dist::distributed_domain dom(heat_kill_cfg());
+  dom.fabric().faults().fail_stop_at_step(3, 47);
+  auto const result = px::stencil::run_distributed_jacobi2d(dom, initial, jc);
+  dom.wait_all_quiescent();
+
+  EXPECT_TRUE(dom.is_confirmed_dead(3));
+  EXPECT_GE(result.recoveries, 1u);
+  ASSERT_EQ(result.values.size(), baseline.values.size());
+  EXPECT_TRUE(result.values == baseline.values);
+}
+
+TEST(JacobiKill, RecoveredSolveRemovesEveryConfirmHook) {
+  auto const jc = jacobi_kill_solver_cfg();
+  auto const initial = jacobi_kill_initial(jc.nx, 24);
+  px::dist::distributed_domain dom(heat_kill_cfg());
+  dom.fabric().faults().fail_stop_at_step(3, 47);
+  auto const hooks_before = dom.confirm_hook_count();
+  auto const out = px::stencil::run_distributed_jacobi2d(dom, initial, jc);
+  dom.wait_all_quiescent();
+  EXPECT_GE(out.recoveries, 1u);
+  EXPECT_EQ(dom.confirm_hook_count(), hooks_before);
 }
 
 // ---- checkpoint/restart cluster cost model -------------------------------

@@ -251,7 +251,6 @@ phase_result run_phase(bool inject_fault) {
   auto const lat = sv.add_tenant(tenant("lat", 4.0, 1024));
 
   px::stencil::dist_heat_config hc;
-  hc.nx_total = 97;
   hc.steps = 60;
   hc.checkpoint_interval = 10;
   hc.max_recoveries = 8;
