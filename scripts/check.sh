@@ -3,7 +3,7 @@
 # Run from anywhere; builds into <repo>/build. The tier-1 build sets
 # PX_WERROR, so a new compiler warning fails it.
 #
-# A second, sanitizer lane (ASan + UBSan, build-san/) then re-runs three
+# A second, sanitizer lane (ASan + UBSan, build-san/) then re-runs four
 # groups of suites. Skip it with PX_SKIP_SAN=1.
 #  * The transport-heavy suites: fault injection exercises timer/ack
 #    races that only a sanitizer can vouch for.
@@ -15,6 +15,10 @@
 #    component and driver both solvers share: destroyed components, weak
 #    mailbox references in confirm hooks, and mailbox drains during
 #    migration.
+#  * The domain suites: coalescing (domain construction from its config),
+#    migration (both quiesce forms), the rebalancer's load vector, and
+#    resilience (the detector's confirm path on the timer thread). Their
+#    failure-detector thresholds sit far above ASan's heartbeat slowdown.
 #
 # --torture: instead of the tiers above, build and run only the
 # ctest-labeled torture suites (px::torture seed sweeps) with a big seed
@@ -137,8 +141,10 @@ cmake -B "$repo/build-san" -S "$repo" \
 cmake --build "$repo/build-san" -j \
   --target test_fault_injection --target test_parcel \
   --target test_field2d --target test_jacobi2d \
-  --target test_dist_heat --target test_dist_jacobi
+  --target test_dist_heat --target test_dist_jacobi \
+  --target test_coalesce --target test_migration \
+  --target test_rebalance --target test_resilience
 (cd "$repo/build-san" && \
  ASAN_OPTIONS="max_malloc_fill_size=1073741824${ASAN_OPTIONS:+:$ASAN_OPTIONS}" \
  ctest --output-on-failure \
-  -R 'test_fault_injection|test_parcel|test_field2d|test_jacobi2d|test_dist_heat|test_dist_jacobi')
+  -R 'test_fault_injection|test_parcel|test_field2d|test_jacobi2d|test_dist_heat|test_dist_jacobi|test_coalesce|test_migration|test_rebalance|test_resilience')

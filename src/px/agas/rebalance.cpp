@@ -4,18 +4,19 @@
 #include <cmath>
 #include <limits>
 
-#include "px/counters/counters.hpp"
 #include "px/dist/distributed_domain.hpp"
 #include "px/dist/failure_detector.hpp"
-#include "px/support/env.hpp"
 
 namespace px::agas {
 
-rebalance_config rebalance_config::from_env(rebalance_config base) {
-  if (auto v = px::env_token("PX_AGAS_REBALANCE", {"on", "off"}))
-    base.enabled = (*v == "on");
-  return base;
-}
+namespace {
+
+// Load multiplier for a degraded home (detector `suspect`, fault-plane
+// `slowed`) — work there runs this many times slower, so the planner
+// evacuates it first and never targets it.
+constexpr double degraded_penalty = 4.0;
+
+}  // namespace
 
 double load_imbalance(std::vector<double> const& loads) {
   double sum = 0.0, max = 0.0;
@@ -85,28 +86,6 @@ std::vector<planned_move> plan_moves(std::vector<double> loads,
   return moves;
 }
 
-std::vector<double> tenant_queue_loads(
-    std::size_t num_localities,
-    std::function<std::optional<std::uint32_t>(std::string const&)>
-        locality_of) {
-  std::vector<double> loads(num_localities, 0.0);
-  constexpr std::string_view prefix = "/px/tenant/";
-  constexpr std::string_view suffix = "/queued";
-  auto snap = counters::registry::instance().take_snapshot();
-  for (auto const& s : snap.samples) {
-    if (s.path.size() <= prefix.size() + suffix.size()) continue;
-    if (s.path.compare(0, prefix.size(), prefix) != 0) continue;
-    if (s.path.compare(s.path.size() - suffix.size(), suffix.size(),
-                       suffix) != 0)
-      continue;
-    std::string const instance = s.path.substr(
-        prefix.size(), s.path.size() - prefix.size() - suffix.size());
-    if (auto loc = locality_of(instance); loc && *loc < num_localities)
-      loads[*loc] += static_cast<double>(s.value);
-  }
-  return loads;
-}
-
 rebalancer::rebalancer(dist::distributed_domain& dom, rebalance_config cfg,
                        mover_fn mover)
     : dom_(dom), cfg_(cfg), mover_(std::move(mover)) {}
@@ -147,15 +126,6 @@ std::vector<double> rebalancer::loads() const {
     for (auto const& [key, p] : parts_)
       if (p.home < base.size()) base[p.home] += p.weight;
   }
-  if (cfg_.queue_weight > 0.0)
-    for (std::size_t i = 0; i < base.size(); ++i)
-      base[i] += cfg_.queue_weight *
-                 static_cast<double>(dom_.at(i).sched().active_tasks());
-  if (external_) {
-    auto extra = external_();
-    for (std::size_t i = 0; i < base.size() && i < extra.size(); ++i)
-      base[i] += extra[i];
-  }
   auto* det = dom_.detector();
   auto& faults = dom_.fabric().faults();
   for (std::size_t i = 0; i < base.size(); ++i) {
@@ -174,7 +144,7 @@ std::vector<double> rebalancer::loads() const {
         (det && det->state_of(loc) == dist::member_state::suspect);
     // Degraded localities do the same work slower, so their effective load
     // is scaled up — the planner drains them and avoids placing onto them.
-    if (degraded) base[i] *= cfg_.degraded_penalty;
+    if (degraded) base[i] *= degraded_penalty;
   }
   return base;
 }

@@ -2,12 +2,10 @@
 // Load-driven AGAS rebalancer (the hpx5 libhpx/gas/agas rebalancing design
 // point): applications register their movable partitions (GID + abstract
 // work weight), the rebalancer periodically folds per-locality load
-// signals — registered partition weights, scheduler queue depths,
-// `/px/tenant/*/queued` gauges mapped onto home localities, and
-// degraded-health penalties (failure-detector `suspect`, fault-plane
-// `slow_by`) — into one load vector, and migrates hot partitions from the
-// most-loaded locality toward the least-loaded one until the imbalance
-// ratio drops under the trigger.
+// signals — registered partition weights and degraded-health penalties
+// (failure-detector `suspect`, fault-plane `slow_by`) — into one load
+// vector, and migrates hot partitions from the most-loaded locality toward
+// the least-loaded one until the imbalance ratio drops under the trigger.
 //
 // The planning half (plan_moves) is a pure function over (loads,
 // partitions); px::arch's skewed-cluster simulator runs the same planner
@@ -18,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "px/agas/gid.hpp"
@@ -32,8 +29,7 @@ class distributed_domain;
 namespace px::agas {
 
 struct rebalance_config {
-  // Master switch; PX_AGAS_REBALANCE=on|off (strict env_token: exact,
-  // case-sensitive, no trimming) overrides it in from_env.
+  // Master switch; a disabled rebalancer plans and moves nothing.
   bool enabled = true;
   // A pass only acts when max(load)/mean(load) exceeds this.
   double imbalance_trigger = 1.25;
@@ -42,20 +38,6 @@ struct rebalance_config {
   std::size_t max_moves_per_pass = 4;
   // Partitions lighter than this are never worth shipping.
   double min_move_weight = 0.0;
-  // Load multiplier for a degraded home (detector `suspect`, fault-plane
-  // `slowed`) — work there runs this many times slower, so the planner
-  // evacuates it first and never targets it.
-  double degraded_penalty = 4.0;
-  // Per-task weight of the scheduler queue-depth signal (0 = weights-only
-  // load, which is what the deterministic tests use).
-  double queue_weight = 0.0;
-
-  // Applies PX_AGAS_REBALANCE on top of `base`; malformed values are
-  // ignored (same stance as every other PX_ knob).
-  [[nodiscard]] static rebalance_config from_env(rebalance_config base);
-  [[nodiscard]] static rebalance_config from_env() {
-    return from_env(rebalance_config{});
-  }
 };
 
 // max(load)/mean(load) over the eligible entries; 1.0 is perfectly flat.
@@ -86,15 +68,6 @@ struct planned_move {
     std::vector<double> loads, std::vector<partition_load> parts,
     rebalance_config const& cfg);
 
-// Sums `/px/tenant/<instance>/queued` gauges into a per-locality load
-// vector: `locality_of` maps a tenant instance name to the locality its
-// jobs run on (nullopt = not placed, skipped). The serving layer registers
-// the gauges (px/serve); this reads the counters registry snapshot.
-[[nodiscard]] std::vector<double> tenant_queue_loads(
-    std::size_t num_localities,
-    std::function<std::optional<std::uint32_t>(std::string const&)>
-        locality_of);
-
 class rebalancer {
  public:
   // Executes one planned move: migrate the partition (current home is
@@ -102,8 +75,6 @@ class rebalancer {
   // in the task that called step(), so it may issue remote calls.
   using mover_fn =
       std::function<future<gid>(gid g, std::uint32_t from, std::uint32_t to)>;
-  // Optional extra per-locality load addends (e.g. tenant_queue_loads).
-  using external_load_fn = std::function<std::vector<double>()>;
 
   rebalancer(dist::distributed_domain& dom, rebalance_config cfg,
              mover_fn mover);
@@ -123,10 +94,9 @@ class rebalancer {
   // Current tracked home (as of the last successful move / registration).
   [[nodiscard]] std::optional<std::uint32_t> home_of(std::uint64_t key) const;
 
-  void set_external_load(external_load_fn fn) { external_ = std::move(fn); }
-
-  // Health-scaled per-locality load vector (see class comment); dead
-  // localities come back as -1 (ineligible).
+  // Health-scaled per-locality load vector: registered partition weights,
+  // multiplied on a degraded (suspect or slowed) locality; dead localities
+  // come back as -1 (ineligible).
   [[nodiscard]] std::vector<double> loads() const;
 
   struct pass_report {
@@ -162,7 +132,6 @@ class rebalancer {
   dist::distributed_domain& dom_;
   rebalance_config const cfg_;
   mover_fn mover_;
-  external_load_fn external_;
   mutable spinlock lock_;
   std::vector<std::pair<std::uint64_t, part>> parts_;  // sorted by key
   std::uint64_t total_moves_ = 0;

@@ -225,8 +225,6 @@ registry::registry() : self_(new impl) {
            builtin_.parcel_bytes_sent);
   reg_cell("/px/parcel/parcels_delivered", kind::monotone,
            builtin_.parcels_delivered);
-  reg_cell("/px/parcel/actions_registered", kind::monotone,
-           builtin_.actions_registered);
   reg_cell("/px/parcel/orphan_responses", kind::monotone,
            builtin_.parcel_orphan_responses);
   reg_cell("/px/net/messages", kind::monotone, builtin_.net_messages);
@@ -270,14 +268,10 @@ registry::registry() : self_(new impl) {
   self_->entries.push_back(std::move(compress_ratio));
   reg_cell("/px/timer/wakes_scheduled", kind::monotone,
            builtin_.timer_wakes);
-  reg_cell("/px/timer/callbacks_scheduled", kind::monotone,
-           builtin_.timer_callbacks);
   reg_cell("/px/timer/callbacks_cancelled", kind::monotone,
            builtin_.timer_cancelled);
   reg_cell("/px/torture/decisions", kind::monotone,
            builtin_.torture_decisions);
-  reg_cell("/px/torture/perturbations", kind::monotone,
-           builtin_.torture_perturbations);
   reg_cell("/px/torture/seeds_run", kind::monotone,
            builtin_.torture_seeds_run);
   reg_cell("/px/resilience/heartbeats", kind::monotone,

@@ -139,7 +139,6 @@ struct builtin_counters {
   counter parcel_messages_sent;   // /px/parcel/messages_sent
   counter parcel_bytes_sent;      // /px/parcel/bytes_sent
   counter parcels_delivered;      // /px/parcel/parcels_delivered
-  counter actions_registered;     // /px/parcel/actions_registered
   counter parcel_orphan_responses;  // /px/parcel/orphan_responses
   counter net_messages;           // /px/net/messages
   counter net_bytes;              // /px/net/bytes
@@ -169,13 +168,11 @@ struct builtin_counters {
   counter net_compress_in_bytes;  // /px/net/compress_in_bytes
   counter net_compressed_bytes;   // /px/net/compressed_bytes
   counter timer_wakes;            // /px/timer/wakes_scheduled
-  counter timer_callbacks;        // /px/timer/callbacks_scheduled
   counter timer_cancelled;        // /px/timer/callbacks_cancelled
-  // Schedule-exploration harness (px/torture): decision points consulted,
-  // perturbations applied, property-test seeds executed. Process-lifetime
-  // totals; per-run figures come from torture::run_decisions() et al.
+  // Schedule-exploration harness (px/torture): decision points consulted
+  // and property-test seeds executed. Process-lifetime totals; per-run
+  // figures come from torture::run_decisions() et al.
   counter torture_decisions;      // /px/torture/decisions
-  counter torture_perturbations;  // /px/torture/perturbations
   counter torture_seeds_run;      // /px/torture/seeds_run
   // Locality-failure resilience (px/resilience + px/dist/failure_detector):
   // heartbeat frames sent, alive->suspect transitions, confirmed locality

@@ -269,8 +269,7 @@ struct pending_tx {
 // receiver-side dedup window. Both ends live in-process, so one struct
 // serves both directions of the protocol for this link.
 struct link_state {
-  link_state(std::size_t dedup_capacity, std::uint64_t initial_seq)
-      : next_seq(initial_seq), rx(dedup_capacity) {
+  explicit link_state(std::uint64_t initial_seq) : next_seq(initial_seq) {
     rx.start_from(initial_seq);
     last_floor = rx.floor();
   }
@@ -323,10 +322,9 @@ distributed_domain::distributed_domain(domain_config cfg)
   PX_ASSERT(cfg_.num_localities >= 1);
   PX_ASSERT_MSG(cfg_.reliability.max_retries >= 0,
                 "retry budget must be non-negative");
-  using rmode = net::reliability_config::mode;
-  reliable_ = cfg_.reliability.activation == rmode::on ||
-              (cfg_.reliability.activation == rmode::automatic &&
-               cfg_.faults.enabled());
+  reliable_ =
+      cfg_.reliability.activation == net::reliability_config::mode::on ||
+      cfg_.faults.enabled();
   localities_.reserve(cfg_.num_localities);
   for (std::size_t i = 0; i < cfg_.num_localities; ++i)
     localities_.push_back(std::make_unique<locality>(
@@ -344,22 +342,19 @@ distributed_domain::distributed_domain(domain_config cfg)
     links_.reserve(cfg_.num_localities * cfg_.num_localities);
     for (std::size_t i = 0; i < cfg_.num_localities * cfg_.num_localities;
          ++i)
-      links_.push_back(std::make_unique<detail::link_state>(
-          cfg_.reliability.dedup_capacity, cfg_.reliability.initial_seq));
+      links_.push_back(
+          std::make_unique<detail::link_state>(cfg_.reliability.initial_seq));
   }
 
-  // Coalescing: env knobs land on top of the programmatic config, so
-  // PX_NET_COALESCE=on batches any domain without a code change.
-  coalesce_cfg_ = net::coalescing_config::from_env(cfg_.coalescing);
-  coalesce_enabled_ = coalesce_cfg_.enabled && cfg_.num_localities >= 2;
+  coalesce_enabled_ = cfg_.coalescing.enabled && cfg_.num_localities >= 2;
   if (coalesce_enabled_) {
-    PX_ASSERT_MSG(coalesce_cfg_.flush_delay_us > 0.0,
+    PX_ASSERT_MSG(cfg_.coalescing.flush_delay_us > 0.0,
                   "the deadline flush is the backstop that bounds buffered "
                   "latency; it cannot be disabled");
     double const scale =
         cfg_.injection_scale > 0.0 ? cfg_.injection_scale : 1.0;
     coalesce_flush_delay_ns_ = static_cast<std::uint64_t>(
-        coalesce_cfg_.flush_delay_us * 1000.0 * scale);
+        cfg_.coalescing.flush_delay_us * 1000.0 * scale);
     if (coalesce_flush_delay_ns_ == 0) coalesce_flush_delay_ns_ = 1;
     coalesce_.reserve(cfg_.num_localities * cfg_.num_localities);
     for (std::size_t i = 0; i < cfg_.num_localities * cfg_.num_localities;
@@ -395,11 +390,10 @@ distributed_domain::distributed_domain(domain_config cfg)
       "dedup-window-soundness", [this]() -> std::optional<std::string> {
         for (auto const& link : links_) {
           std::lock_guard<spinlock> guard(link->lock);
-          if (link->rx.pending_gaps() > cfg_.reliability.dedup_capacity)
+          if (link->rx.pending_gaps() > net::dedup_capacity)
             return "dedup window holds " +
                    std::to_string(link->rx.pending_gaps()) +
-                   " gaps, capacity " +
-                   std::to_string(cfg_.reliability.dedup_capacity);
+                   " gaps, capacity " + std::to_string(net::dedup_capacity);
           std::uint64_t const floor = link->rx.floor();
           // Serial comparison: the floor wraps with the seqs, so plain <
           // would flag the legitimate UINT64_MAX -> small-seq advance.
@@ -460,12 +454,7 @@ distributed_domain::distributed_domain(domain_config cfg)
         return std::nullopt;
       });
 
-  // Env-driven partition schedules (PX_PARTITION_CUT and friends) land on
-  // the fault plane before any traffic flows.
-  fabric_.faults().apply_env_partition(cfg_.num_localities);
-
-  membership_ = std::make_unique<membership_view>(
-      cfg_.num_localities, membership_config::from_env(cfg_.membership));
+  membership_ = std::make_unique<membership_view>(cfg_.num_localities);
   if (cfg_.resilience.enabled && cfg_.num_localities >= 2) {
     detector_ = std::make_unique<failure_detector>(*this, cfg_.resilience,
                                                    *membership_);
@@ -607,8 +596,8 @@ void distributed_domain::enqueue_coalesced(parcel::parcel p) {
     std::lock_guard<spinlock> guard(buf.lock);
     buf.bytes += net::coalesced_parcel_bytes(p);
     buf.pending.push_back(std::move(p));
-    if (buf.pending.size() >= coalesce_cfg_.max_parcels ||
-        buf.bytes >= coalesce_cfg_.max_bytes) {
+    if (buf.pending.size() >= cfg_.coalescing.max_parcels ||
+        buf.bytes >= cfg_.coalescing.max_bytes) {
       batch.swap(buf.pending);
       buf.bytes = 0;
       deadline = std::move(buf.deadline);
@@ -709,7 +698,7 @@ void distributed_domain::flush_batch(std::vector<parcel::parcel> batch) {
   b.net_coalesced_parcels.add(n);
   std::size_t compressed_in = 0, compressed_out = 0;
   parcel::parcel envelope = net::encode_coalesced_frame(
-      batch, coalesce_cfg_, &compressed_in, &compressed_out);
+      batch, cfg_.coalescing, &compressed_in, &compressed_out);
   if (compressed_out != 0) {
     b.net_compress_in_bytes.add(compressed_in);
     b.net_compressed_bytes.add(compressed_out);
@@ -1311,8 +1300,19 @@ struct heartbeat_pause {
 
 }  // namespace
 
-void distributed_domain::wait_all_quiescent() {
+void distributed_domain::wait_all_quiescent() { wait_quiet(std::nullopt); }
+
+bool distributed_domain::wait_all_quiescent_for(
+    std::chrono::nanoseconds timeout) {
+  return wait_quiet(std::chrono::steady_clock::now() + timeout);
+}
+
+bool distributed_domain::wait_quiet(
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
   heartbeat_pause pause(quiescing_);
+  auto const drained = [this] {
+    return in_flight_.load(std::memory_order_acquire) == 0;
+  };
   // Parcels can respawn tasks and tasks can send parcels, so iterate until
   // a full pass observes no activity anywhere. The in-flight wait is
   // condition-variable driven: obligation_done() signals when the count
@@ -1327,42 +1327,24 @@ void distributed_domain::wait_all_quiescent() {
     flush_coalescing();
     {
       std::unique_lock<std::mutex> lk(quiesce_mutex_);
-      quiesce_cv_.wait(lk, [this] {
-        return in_flight_.load(std::memory_order_acquire) == 0;
-      });
-    }
-    bool all_quiet = true;
-    for (auto& loc : localities_)
-      if (loc->sched().active_tasks() != 0) all_quiet = false;
-    if (all_quiet && in_flight_.load(std::memory_order_acquire) == 0) {
-      // The domain just proclaimed itself idle: under a torture run its
-      // accounting invariants must hold right here.
-      if (torture::active()) invariants_.assert_holds("wait_all_quiescent");
-      return;
-    }
-  }
-}
-
-bool distributed_domain::wait_all_quiescent_for(
-    std::chrono::nanoseconds timeout) {
-  heartbeat_pause pause(quiescing_);
-  auto const deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    for (auto& loc : localities_) loc->rt().wait_quiescent();
-    flush_coalescing();  // same flush-before-CV ordering as the unbounded wait
-    {
-      std::unique_lock<std::mutex> lk(quiesce_mutex_);
-      if (!quiesce_cv_.wait_until(lk, deadline, [this] {
-            return in_flight_.load(std::memory_order_acquire) == 0;
-          }))
+      if (!deadline)
+        quiesce_cv_.wait(lk, drained);
+      else if (!quiesce_cv_.wait_until(lk, *deadline, drained))
         return false;  // leaked obligation: the count will never drain
     }
     bool all_quiet = true;
     for (auto& loc : localities_)
       if (loc->sched().active_tasks() != 0) all_quiet = false;
-    if (all_quiet && in_flight_.load(std::memory_order_acquire) == 0)
+    if (all_quiet && drained()) {
+      // The domain just proclaimed itself idle: under a torture run its
+      // accounting invariants must hold right here.
+      if (torture::active())
+        invariants_.assert_holds(deadline ? "wait_all_quiescent_for"
+                                          : "wait_all_quiescent");
       return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
+    }
+    if (deadline && std::chrono::steady_clock::now() >= *deadline)
+      return false;
   }
 }
 

@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -59,19 +60,14 @@ struct domain_config {
   net::fault_config faults;
   // Ack/retransmit layer; `automatic` activates it iff faults.enabled().
   net::reliability_config reliability;
-  // Parcel coalescing under the reliability layer (off by default). The
-  // domain constructor applies coalescing_config::from_env on top, so
-  // PX_NET_COALESCE / PX_NET_COMPRESS override this programmatic config.
+  // Parcel coalescing under the reliability layer (off by default).
   net::coalescing_config coalescing;
   // Heartbeat failure detector (off by default). When enabled the domain
-  // runs a detector on the timer thread; confirmed failures tear down the
-  // victim's transport state and fire the registered confirm hooks.
+  // runs a detector on the timer thread, with quorum membership
+  // (px/dist/membership.hpp) and indirect probes riding on it; confirmed
+  // failures tear down the victim's transport state and fire the
+  // registered confirm hooks.
   resilience_config resilience;
-  // Quorum membership riding on the detector (px/dist/membership.hpp). The
-  // domain constructor applies membership_config::from_env on top, so
-  // PX_MEMBERSHIP_QUORUM / PX_MEMBERSHIP_PROBES override this programmatic
-  // config. Ignored unless resilience is enabled.
-  membership_config membership;
   // Forwarding-hop budget for component-addressed parcels: a parcel
   // chasing a migrated GID may be re-routed along departure tombstones at
   // most this many times before the call fails with hop_budget_exhausted.
@@ -106,7 +102,7 @@ class distributed_domain {
   [[nodiscard]] bool coalescing() const noexcept { return coalesce_enabled_; }
   [[nodiscard]] net::coalescing_config const& coalesce_config()
       const noexcept {
-    return coalesce_cfg_;
+    return cfg_.coalescing;
   }
 
   // Routes a parcel from its source to its destination locality.
@@ -125,7 +121,8 @@ class distributed_domain {
   // count has not drained by `timeout` (a leaked obligation, exactly what
   // the obligation-balance invariant exists to catch). The locality
   // schedulers are still waited on unconditionally — only the in-flight
-  // drain is bounded.
+  // drain is bounded. Both forms check the torture invariants when they
+  // find the domain quiet.
   [[nodiscard]] bool wait_all_quiescent_for(std::chrono::nanoseconds timeout);
 
   // Current in-flight obligation count (scheduled frames + unacked reliable
@@ -283,6 +280,11 @@ class distributed_domain {
   // count drains to zero.
   void obligation_begin() noexcept;
   void obligation_done() noexcept;
+  // The quiesce loop behind both public waits. Without a deadline it waits
+  // as long as the drain takes; with one it returns false once the
+  // deadline passes before the domain is quiet.
+  bool wait_quiet(
+      std::optional<std::chrono::steady_clock::time_point> deadline);
 
   domain_config const cfg_;
   net::fabric fabric_;
@@ -290,12 +292,11 @@ class distributed_domain {
   std::vector<std::unique_ptr<locality>> localities_;
   std::vector<std::unique_ptr<detail::link_state>> links_;
 
-  // Coalescing state: cfg_.coalescing with the PX_NET_* env applied, the
-  // deadline's real-time delay (flush_delay_us scaled by injection_scale;
-  // scale 0 runs at scale 1 so accounting-only domains still flush), and
-  // one buffer per ordered (src,dst) pair.
+  // Coalescing state: whether cfg_.coalescing applies (it needs two
+  // localities), the deadline's real-time delay (flush_delay_us scaled by
+  // injection_scale; scale 0 runs at scale 1 so accounting-only domains
+  // still flush), and one buffer per ordered (src,dst) pair.
   bool coalesce_enabled_ = false;
-  net::coalescing_config coalesce_cfg_;
   std::uint64_t coalesce_flush_delay_ns_ = 0;
   std::vector<std::unique_ptr<detail::coalesce_buffer>> coalesce_;
   // Flush-deadline tokens whose cancel lost the claim race: the callback

@@ -24,7 +24,7 @@ failure_detector::failure_detector(distributed_domain& dom,
       suspect_ns_(static_cast<std::uint64_t>(cfg.suspect_after_us * 1000.0)),
       confirm_ns_(static_cast<std::uint64_t>(cfg.confirm_after_us * 1000.0)),
       probe_grace_ns_(
-          membership.config().indirect_probes > 0 && dom.size() >= 3
+          cfg.indirect_probes > 0 && dom.size() >= 3
               ? 2 * static_cast<std::uint64_t>(cfg.heartbeat_interval_us *
                                                1000.0)
               : 0) {
@@ -158,7 +158,7 @@ void failure_detector::tick() {
   // refreshes the observer's freshness cell through the normal transport
   // path; seeing the cell fresh again while a round was in flight means a
   // one-way or lossy link nearly escalated a healthy peer.
-  std::size_t const k = membership_.config().indirect_probes;
+  std::size_t const k = cfg_.indirect_probes;
   for (std::uint32_t obs : live) {
     for (std::uint32_t peer : live) {
       if (peer == obs) continue;
@@ -191,7 +191,7 @@ void failure_detector::tick() {
   // live view. Non-quorate observers fence themselves — their opinions are
   // ignored below and the domain's fencing gates refuse commits — until
   // heartbeats from a majority flow again (heal => unfence => rejoin).
-  bool const qactive = membership_.quorum_active(view_size);
+  bool const qactive = membership_view::quorum_active(view_size);
   std::vector<char> quorate(n_, 0);
   for (std::uint32_t obs : live) {
     std::size_t reachable = 1;  // self
@@ -204,10 +204,9 @@ void failure_detector::tick() {
 
   // Judge standing. With quorum active, the silence that drives the ladder
   // is the *worst* silence any quorate observer holds against the peer —
-  // fenced minorities cannot evict anyone. With quorum off (or the view
-  // below quorum_min_view) it is the *best* silence across all live
-  // observers, which reproduces the legacy single-cell behaviour exactly:
-  // a heartbeat reaching anyone kept the peer fresh.
+  // fenced minorities cannot evict anyone. In a view below quorum_min_view
+  // it is the *best* silence across all live observers: a heartbeat
+  // reaching anyone keeps the peer fresh.
   std::uint64_t const suspect_th = suspect_ns_ + probe_grace_ns_;
   std::uint64_t const confirm_th = confirm_ns_ + probe_grace_ns_;
   auto mark_suspect = [this](std::uint32_t loc) {
@@ -253,12 +252,6 @@ void failure_detector::tick() {
       clear_probing(loc);
       membership_.reset_fence(loc);
       dom_.confirm_failure(loc);
-      std::vector<std::function<void(std::uint32_t)>> cbs;
-      {
-        std::lock_guard<std::mutex> lk(mutex_);
-        cbs = confirm_cbs_;
-      }
-      for (auto& cb : cbs) cb(loc);
     } else if (judged >= suspect_th) {
       if (standing(loc) == member_state::alive) mark_suspect(loc);
     } else if (standing(loc) == member_state::suspect) {
@@ -288,11 +281,6 @@ std::uint64_t failure_detector::state_generation(std::uint32_t loc) const {
 void failure_detector::on_suspect(std::function<void(std::uint32_t)> fn) {
   std::lock_guard<std::mutex> guard(mutex_);
   suspect_cbs_.push_back(std::move(fn));
-}
-
-void failure_detector::on_confirm(std::function<void(std::uint32_t)> fn) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  confirm_cbs_.push_back(std::move(fn));
 }
 
 void failure_detector::heard_from(std::uint32_t src, std::uint32_t observer) {

@@ -37,6 +37,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -83,6 +84,9 @@ struct resilience_config {
   // observer escalates.
   double suspect_after_us = 8000.0;
   double confirm_after_us = 16000.0;
+  // Indirect probes routed through distinct random peers before a silent
+  // heartbeat escalates to `suspect` (SWIM-style). 0 disables probing.
+  std::size_t indirect_probes = 2;
 };
 
 // One locality's standing with the detector.
@@ -118,11 +122,11 @@ class failure_detector {
     return cfg_;
   }
 
-  // Observer callbacks, invoked from the timer thread on the alive->suspect
-  // and suspect->dead transitions. Register before failures can happen;
-  // keep the callbacks cheap.
+  // Observer callback, invoked from the timer thread on the alive->suspect
+  // transition. Register before failures can happen; keep it cheap. A
+  // confirmed death runs the domain's confirm hooks
+  // (distributed_domain::add_confirm_hook).
   void on_suspect(std::function<void(std::uint32_t)> fn);
-  void on_confirm(std::function<void(std::uint32_t)> fn);
 
   // Transport feed: a heartbeat/probe frame from `src` survived the fabric
   // and reached `observer`. Refreshes the (observer, src) freshness cell
@@ -187,10 +191,9 @@ class failure_detector {
   std::vector<char> probing_;
   std::uint64_t rng_state_ = 0x9e3779b97f4a7c15ull;
 
-  std::mutex mutex_;  // guards token_, callbacks, stopped_
+  std::mutex mutex_;  // guards token_, suspect_cbs_, stopped_
   std::shared_ptr<rt::timer_token> token_;
   std::vector<std::function<void(std::uint32_t)>> suspect_cbs_;
-  std::vector<std::function<void(std::uint32_t)>> confirm_cbs_;
   bool stopped_ = false;
   bool started_ = false;
   bool was_paused_ = false;

@@ -2,21 +2,11 @@
 
 #include "px/counters/counters.hpp"
 #include "px/support/assert.hpp"
-#include "px/support/env.hpp"
 
 namespace px::dist {
 
-membership_config membership_config::from_env(membership_config base) {
-  if (auto v = px::env_token("PX_MEMBERSHIP_QUORUM", {"on", "off"}))
-    base.quorum = (*v == "on");
-  if (auto v = px::env_u64("PX_MEMBERSHIP_PROBES"))
-    base.indirect_probes = static_cast<std::size_t>(*v);
-  return base;
-}
-
-membership_view::membership_view(std::size_t num_localities,
-                                 membership_config cfg)
-    : n_(num_localities), cfg_(cfg) {
+membership_view::membership_view(std::size_t num_localities)
+    : n_(num_localities) {
   fenced_ = std::make_unique<std::atomic<bool>[]>(n_);
   for (std::size_t i = 0; i < n_; ++i)
     fenced_[i].store(false, std::memory_order_relaxed);

@@ -16,8 +16,8 @@
 // Small-view carve-out: with fewer than three live members "majority"
 // cannot distinguish a dead peer from a cut link (a 2-member view needs
 // both members reachable to confirm anything, so nothing would ever be
-// confirmed). Views smaller than quorum_min_view revert to the legacy
-// independent-confirm behaviour and never fence.
+// confirmed). Views smaller than quorum_min_view fall back to independent
+// confirm (any live observer's silence judgment counts) and never fence.
 #pragma once
 
 #include <atomic>
@@ -46,27 +46,6 @@ class fenced_error : public std::runtime_error {
   std::uint32_t loc_;
 };
 
-struct membership_config {
-  // Quorum rule on/off. Off reverts to PR 4's independent confirm: any
-  // live observer's silence judgment can confirm a peer, and nothing is
-  // ever fenced.
-  bool quorum = true;
-  // Indirect probes routed through distinct random peers before a silent
-  // heartbeat escalates to `suspect` (SWIM-style). 0 disables probing.
-  std::size_t indirect_probes = 2;
-  // Views with fewer live members than this behave as if quorum were off
-  // (see the small-view carve-out above).
-  std::size_t quorum_min_view = 3;
-
-  // Applies PX_MEMBERSHIP_QUORUM (on|off) and PX_MEMBERSHIP_PROBES (count)
-  // on top of `base`; both parse strictly (trailing garbage rejected,
-  // warned once, ignored).
-  [[nodiscard]] static membership_config from_env(membership_config base);
-  [[nodiscard]] static membership_config from_env() {
-    return from_env(membership_config{});
-  }
-};
-
 // The domain-wide membership ledger: per-locality fenced flags plus the
 // /px/membership/* accounting. Reachability itself is judged by the
 // failure detector (it owns the per-observer freshness matrix); this class
@@ -74,11 +53,12 @@ struct membership_config {
 // rebalance, serve admission) can consult it lock-free.
 class membership_view {
  public:
-  membership_view(std::size_t num_localities, membership_config cfg);
+  // Views with fewer live members than this never fence (see the
+  // small-view carve-out above).
+  static constexpr std::size_t quorum_min_view = 3;
 
-  [[nodiscard]] membership_config const& config() const noexcept {
-    return cfg_;
-  }
+  explicit membership_view(std::size_t num_localities);
+
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
   // True while `loc` is on the minority side of a partition.
@@ -110,13 +90,12 @@ class membership_view {
     return reachable * 2 > view_size;
   }
   // Quorum judgment active for a view of this size?
-  [[nodiscard]] bool quorum_active(std::size_t view_size) const noexcept {
-    return cfg_.quorum && view_size >= cfg_.quorum_min_view;
+  [[nodiscard]] static bool quorum_active(std::size_t view_size) noexcept {
+    return view_size >= quorum_min_view;
   }
 
  private:
   std::size_t n_;
-  membership_config cfg_;
   std::unique_ptr<std::atomic<bool>[]> fenced_;
   std::atomic<std::size_t> fenced_count_{0};
 };

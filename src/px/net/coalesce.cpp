@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "px/net/compress.hpp"
-#include "px/support/env.hpp"
 
 namespace px::net {
 
@@ -53,20 +52,6 @@ struct reader {
 };
 
 }  // namespace
-
-coalescing_config coalescing_config::from_env(coalescing_config base) {
-  if (auto t = env_token("PX_NET_COALESCE", {"on", "off"}))
-    base.enabled = (*t == "on");
-  if (auto t = env_token("PX_NET_COMPRESS", {"on", "off"}))
-    base.compress = (*t == "on");
-  if (auto v = env_size("PX_NET_COALESCE_MAX_PARCELS"); v && *v > 0)
-    base.max_parcels = *v;
-  if (auto v = env_size("PX_NET_COALESCE_MAX_BYTES"); v && *v > 0)
-    base.max_bytes = *v;
-  if (auto v = env_double("PX_NET_COALESCE_FLUSH_US"); v && *v > 0.0)
-    base.flush_delay_us = *v;
-  return base;
-}
 
 std::size_t coalesced_parcel_bytes(parcel::parcel const& p) noexcept {
   return subheader_bytes + p.payload.size();

@@ -55,16 +55,6 @@ struct coalescing_config {
   // stream is actually smaller; the codec byte keeps raw frames free.
   bool compress = false;
   std::size_t compress_min_bytes = 64;
-
-  // Applies PX_NET_COALESCE / PX_NET_COMPRESS (strict env_token on|off),
-  // PX_NET_COALESCE_MAX_PARCELS / PX_NET_COALESCE_MAX_BYTES (env_size) and
-  // PX_NET_COALESCE_FLUSH_US (env_double) on top of `base`. Malformed
-  // values (trailing garbage included) are ignored, same stance as every
-  // other PX_ knob.
-  [[nodiscard]] static coalescing_config from_env(coalescing_config base);
-  [[nodiscard]] static coalescing_config from_env() {
-    return from_env(coalescing_config{});
-  }
 };
 
 // Encoded size one parcel contributes to a coalesced body (subheader +

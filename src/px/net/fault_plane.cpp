@@ -1,7 +1,6 @@
 #include "px/net/fault_plane.hpp"
 
 #include "px/support/assert.hpp"
-#include "px/support/env.hpp"
 
 namespace px::net {
 
@@ -414,25 +413,6 @@ std::size_t fault_plane::active_partitions() const {
   for (auto const& p : partitions_)
     if (p.active) ++n;
   return n;
-}
-
-void fault_plane::apply_env_partition(std::size_t num_localities) {
-  auto const cut = px::env_u64("PX_PARTITION_CUT");
-  if (!cut || *cut == 0 || *cut >= num_localities) return;
-  partition_spec spec;
-  for (std::uint32_t i = 0; i < num_localities; ++i)
-    (i < *cut ? spec.side_a : spec.side_b).push_back(i);
-  if (auto oneway = px::env_token("PX_PARTITION_ONEWAY", {"on", "off"}))
-    spec.symmetric = (*oneway != "on");
-  if (auto flap = px::env_u64("PX_PARTITION_FLAP_STEPS"))
-    spec.flap_period_steps = *flap;
-  std::uint64_t id;
-  if (auto at = px::env_u64("PX_PARTITION_AT_STEP"))
-    id = partition_at_step(spec, *at);
-  else
-    id = partition_now(spec);
-  if (auto heal = px::env_u64("PX_PARTITION_HEAL_AT_STEP"))
-    heal_partition_at_step(id, *heal);
 }
 
 void fault_plane::advance_step(std::uint64_t step) {

@@ -189,16 +189,6 @@ class fault_plane {
   // healed (flapping partitions count even in a healed phase).
   [[nodiscard]] std::size_t active_partitions() const;
 
-  // Reads PX_PARTITION_* (see docs/API.md) and installs the described
-  // partition over localities [0, num_localities): PX_PARTITION_CUT=k
-  // splits {0..k-1} from {k..n-1}; PX_PARTITION_AT_STEP /
-  // PX_PARTITION_HEAL_AT_STEP schedule activation and heal;
-  // PX_PARTITION_ONEWAY=on makes it asymmetric (only frames from the low
-  // side toward the high side are lost);
-  // PX_PARTITION_FLAP_STEPS sets the flap period. No-op unless
-  // PX_PARTITION_CUT parses strictly to 0 < k < num_localities.
-  void apply_env_partition(std::size_t num_localities);
-
   // Progress feeds for the schedule triggers. advance_step keeps the max
   // step observed; both are cheap when no schedule is pending.
   void advance_step(std::uint64_t step);

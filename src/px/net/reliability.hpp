@@ -16,6 +16,7 @@
 // retransmission is re-acked (and suppressed as a duplicate).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
@@ -56,8 +57,9 @@ struct reliability_config {
   // When the layer sequences/acks/retransmits parcels. `automatic` (the
   // default) switches it on exactly when the domain's fault plane is
   // enabled: a loss-free in-process fabric needs no acks, and keeping them
-  // off preserves the historical 1-frame-per-parcel wire accounting.
-  enum class mode : std::uint8_t { automatic, on, off };
+  // off preserves the historical 1-frame-per-parcel wire accounting. `on`
+  // runs it over a loss-free fabric too.
+  enum class mode : std::uint8_t { automatic, on };
   mode activation = mode::automatic;
 
   // Retransmissions after the first attempt. 0 = fail on the first lost
@@ -70,9 +72,6 @@ struct reliability_config {
   double initial_backoff_us = 200.0;
   double backoff_multiplier = 2.0;
   double max_backoff_us = 20000.0;
-
-  // Per-link seqs remembered above the contiguous floor on the receiver.
-  std::size_t dedup_capacity = 4096;
 
   // First sequence number a fresh link assigns. Production always uses 1;
   // tests set this near UINT64_MAX to force the wraparound path (seqs
@@ -115,6 +114,9 @@ struct reliability_config {
   return s + 1 == 0 ? 1 : s + 1;
 }
 
+// Per-link seqs a receiver remembers above the contiguous floor.
+inline constexpr std::size_t dedup_capacity = 4096;
+
 // Receiver-side exactly-once filter for one ordered link. Seqs start at
 // initial_seq (1 in production) and may arrive in any order; accept()
 // returns true exactly once per seq. Seq comparisons use serial arithmetic
@@ -132,7 +134,7 @@ struct reliability_config {
 // safety valve, not an expected path.
 class dedup_window {
  public:
-  explicit dedup_window(std::size_t capacity = 4096) noexcept
+  explicit dedup_window(std::size_t capacity = dedup_capacity) noexcept
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   // True -> first sighting of `seq`, deliver it. False -> duplicate.

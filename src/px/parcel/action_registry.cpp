@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "px/counters/counters.hpp"
-
 namespace px::parcel {
 
 struct action_registry::impl {
@@ -41,7 +39,6 @@ std::uint32_t action_registry::add(std::string action_name,
   auto const id = static_cast<std::uint32_t>(s.actions.size());
   s.actions.emplace_back(action_name, action_entry{fn, direct});
   s.by_name.emplace(std::move(action_name), id);
-  counters::builtin().actions_registered.add();
   return id;
 }
 

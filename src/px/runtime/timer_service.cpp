@@ -43,7 +43,6 @@ void timer_service::wake_at(clock::time_point deadline, task* t) {
 void timer_service::call_at(clock::time_point deadline,
                             unique_function<void()> fn) {
   PX_ASSERT(fn);
-  counters::builtin().timer_callbacks.add();
   deadline += std::chrono::nanoseconds(PX_TORTURE_JITTER_NS(timer_deadline));
   {
     std::lock_guard<std::mutex> lock(mutex_);

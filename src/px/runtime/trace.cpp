@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "px/runtime/worker.hpp"
-#include "px/support/env.hpp"
 #include "px/support/spin.hpp"
 
 namespace px::trace {
@@ -64,11 +63,7 @@ std::vector<std::unique_ptr<ring>>& registry() {
 }
 
 std::size_t& ring_capacity() {
-  static std::size_t cap = [] {
-    if (auto v = px::env_size("PX_TRACE_RING"))
-      return *v > 0 ? *v : std::size_t{1};
-    return std::size_t{1} << 15;
-  }();
+  static std::size_t cap = std::size_t{1} << 15;
   return cap;
 }
 

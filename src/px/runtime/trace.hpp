@@ -66,8 +66,7 @@ void record_slice(char const* name, std::uint64_t task_id,
 [[nodiscard]] std::uint64_t dropped_count() noexcept;
 
 // Per-thread ring capacity (events) for rings created after the call; the
-// default is 1<<15 or the PX_TRACE_RING environment variable. Existing
-// rings keep their size.
+// default is 1<<15. Existing rings keep their size.
 void set_ring_capacity(std::size_t events);
 
 // Serializes everything recorded so far as a Chrome trace JSON document.

@@ -14,10 +14,9 @@
 // these pointers would be UB (this is the field2d alignment audit applied
 // forward).
 //
-// Block sizes come from jacobi3d_config, overridable via the strict
-// PX_SIMD_BLOCK_X / _Y / _Z env knobs (env_size parsing; 0 = auto).
-// Jacobi has no intra-sweep dependencies, so results are bitwise identical
-// for every block shape — pinned by tests.
+// Block sizes come from jacobi3d_config (0 = auto). Jacobi has no
+// intra-sweep dependencies, so results are bitwise identical for every
+// block shape — pinned by tests.
 #pragma once
 
 #include <algorithm>
@@ -29,7 +28,6 @@
 #include "px/simd/abi.hpp"
 #include "px/simd/pack.hpp"
 #include "px/stencil/field3d.hpp"
-#include "px/support/env.hpp"
 #include "px/support/timer.hpp"
 
 namespace px::stencil {
@@ -44,15 +42,6 @@ struct jacobi3d_config {
   std::size_t block_z = 0;
   // false: scalar inner loop (auto-vectorized); true: explicit native packs.
   bool explicit_simd = false;
-
-  // Applies PX_SIMD_BLOCK_X / _Y / _Z on top of `base`. Strict env_size
-  // parsing: unset/malformed values leave the base untouched.
-  [[nodiscard]] static jacobi3d_config from_env(jacobi3d_config base) {
-    if (auto v = env_size("PX_SIMD_BLOCK_X")) base.block_x = *v;
-    if (auto v = env_size("PX_SIMD_BLOCK_Y")) base.block_y = *v;
-    if (auto v = env_size("PX_SIMD_BLOCK_Z")) base.block_z = *v;
-    return base;
-  }
 };
 
 struct jacobi3d_result {

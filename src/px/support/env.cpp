@@ -58,18 +58,6 @@ std::optional<std::uint64_t> env_u64(char const* name) {
   return static_cast<std::uint64_t>(v);
 }
 
-std::optional<double> env_double(char const* name) {
-  auto s = env_string(name);
-  if (!s) return std::nullopt;
-  char* end = nullptr;
-  double v = std::strtod(s->c_str(), &end);
-  if (end == s->c_str() || *end != '\0') {
-    warn_malformed(name, *s);
-    return std::nullopt;
-  }
-  return v;
-}
-
 std::optional<bool> env_bool(char const* name) {
   auto s = env_string(name);
   if (!s) return std::nullopt;

@@ -1,6 +1,9 @@
 // px/support/env.hpp
-// Environment-variable configuration, the same knob style HPX exposes via
-// --hpx:threads etc. All px knobs use the PX_ prefix.
+// Environment-variable parsing, the same knob style HPX exposes via
+// --hpx:threads etc. All px knobs use the PX_ prefix. Library code reads
+// the environment only where a caller asks for it
+// (scheduler_config::from_env) and for the torture seed budget
+// (PX_TORTURE_SEEDS); every other component takes its config struct alone.
 #pragma once
 
 #include <cstddef>
@@ -21,9 +24,6 @@ std::optional<std::size_t> env_size(char const* name);
 // Parses a 64-bit unsigned integer, accepting decimal, 0x-hex and 0-octal
 // (seeds are usually quoted in hex); nullopt when unset or malformed.
 std::optional<std::uint64_t> env_u64(char const* name);
-
-// Parses a double; nullopt when unset or malformed.
-std::optional<double> env_double(char const* name);
 
 // Recognises 1/0, true/false, yes/no, on/off (case-insensitive).
 std::optional<bool> env_bool(char const* name);

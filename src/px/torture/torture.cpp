@@ -108,7 +108,6 @@ bool charge_budget() noexcept {
       g_config.max_perturbations)
     return false;
   g_run_perturbations.fetch_add(1, std::memory_order_relaxed);
-  counters::builtin().torture_perturbations.add();
   return true;
 }
 

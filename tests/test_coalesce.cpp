@@ -2,12 +2,14 @@
 // layer (px/net/compress, px/net/coalesce, the distributed_domain wiring)
 // and the latent-bug sweep of the reliability hot path that rode along:
 // dedup-window sequence wraparound, flush-at-quiesce ordering, and the
-// fixed-point counter-mirror units under coalesced/compressed frames.
+// fixed-point counter-mirror units under coalesced/compressed frames. The
+// last test pins that no environment variable reconfigures a domain.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -232,52 +234,6 @@ TEST(CoalesceCodec, CorruptEnvelopesThrow) {
   not_envelope.action = 5;
   EXPECT_THROW((void)px::net::decode_coalesced_frame(not_envelope),
                std::runtime_error);
-}
-
-// ---- env knobs -----------------------------------------------------------
-
-TEST(CoalesceEnv, StrictTokenParsingRejectsTrailingGarbage) {
-  px::net::coalescing_config base;
-  base.enabled = false;
-  base.compress = false;
-
-  ::setenv("PX_NET_COALESCE", "on", 1);
-  EXPECT_TRUE(px::net::coalescing_config::from_env(base).enabled);
-  ::setenv("PX_NET_COALESCE", "off", 1);
-  EXPECT_FALSE(px::net::coalescing_config::from_env(base).enabled);
-  // env_token is exact-match: case, whitespace and trailing garbage all
-  // make the value malformed, which leaves the base config untouched.
-  for (char const* bad : {"ON", "on ", " on", "on,compress", "1", "true"}) {
-    ::setenv("PX_NET_COALESCE", bad, 1);
-    EXPECT_FALSE(px::net::coalescing_config::from_env(base).enabled)
-        << "accepted malformed token: '" << bad << "'";
-  }
-  ::unsetenv("PX_NET_COALESCE");
-
-  ::setenv("PX_NET_COMPRESS", "on", 1);
-  EXPECT_TRUE(px::net::coalescing_config::from_env(base).compress);
-  ::setenv("PX_NET_COMPRESS", "yes", 1);  // env_bool form, not allowed here
-  EXPECT_FALSE(px::net::coalescing_config::from_env(base).compress);
-  ::unsetenv("PX_NET_COMPRESS");
-}
-
-TEST(CoalesceEnv, NumericKnobsApplyAndRejectGarbage) {
-  px::net::coalescing_config base;
-  ::setenv("PX_NET_COALESCE_MAX_PARCELS", "32", 1);
-  ::setenv("PX_NET_COALESCE_MAX_BYTES", "8192", 1);
-  ::setenv("PX_NET_COALESCE_FLUSH_US", "125.5", 1);
-  auto got = px::net::coalescing_config::from_env(base);
-  EXPECT_EQ(got.max_parcels, 32u);
-  EXPECT_EQ(got.max_bytes, 8192u);
-  EXPECT_DOUBLE_EQ(got.flush_delay_us, 125.5);
-  ::setenv("PX_NET_COALESCE_MAX_PARCELS", "32x", 1);
-  ::setenv("PX_NET_COALESCE_FLUSH_US", "0", 1);  // must stay > 0
-  got = px::net::coalescing_config::from_env(base);
-  EXPECT_EQ(got.max_parcels, base.max_parcels);
-  EXPECT_DOUBLE_EQ(got.flush_delay_us, base.flush_delay_us);
-  ::unsetenv("PX_NET_COALESCE_MAX_PARCELS");
-  ::unsetenv("PX_NET_COALESCE_MAX_BYTES");
-  ::unsetenv("PX_NET_COALESCE_FLUSH_US");
 }
 
 // ---- dedup-window wraparound (bugfix satellite) --------------------------
@@ -586,18 +542,40 @@ TEST(Coalescing, LossyCoalescedHeatBitwiseIdentical) {
   EXPECT_GT(dom.fabric().faults().stats().drops, 0u);
 }
 
-TEST(Coalescing, EnvKnobEnablesDomainWithoutCodeChange) {
-  ::setenv("PX_NET_COALESCE", "on", 1);
+// ---- a domain is configured by its domain_config alone -------------------
+
+// Sets an environment variable for one scope and restores its previous
+// value (or its absence) on exit, also when an assertion fails.
+class scoped_env {
+ public:
+  scoped_env(char const* name, char const* value) : name_(name) {
+    if (char const* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~scoped_env() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  scoped_env(scoped_env const&) = delete;
+  scoped_env& operator=(scoped_env const&) = delete;
+
+ private:
+  char const* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(DomainConfig, EnvironmentDoesNotReconfigureADomain) {
+  // These variables once switched coalescing on and cut a partition behind
+  // the caller's back; a domain now reads nothing but its config.
+  scoped_env coalesce("PX_NET_COALESCE", "on");
+  scoped_env cut("PX_PARTITION_CUT", "2");
   px::dist::domain_config cfg;
-  cfg.num_localities = 2;
-  cfg.locality_cfg.num_workers = 2;
-  cfg.injection_scale = 0.0;
-  ASSERT_FALSE(cfg.coalescing.enabled);
+  cfg.num_localities = 4;
   px::dist::distributed_domain dom(cfg);
-  EXPECT_TRUE(dom.coalescing());
-  ::unsetenv("PX_NET_COALESCE");
-  px::dist::distributed_domain off(cfg);
-  EXPECT_FALSE(off.coalescing());
+  EXPECT_FALSE(dom.coalescing());
+  EXPECT_EQ(dom.fabric().faults().active_partitions(), 0u);
 }
 
 }  // namespace

@@ -1,18 +1,15 @@
-// px::agas rebalancer: the pure greedy planner, load folding (weights,
-// health penalties, tenant queue gauges), the strict PX_AGAS_REBALANCE env
-// knob, the live rebalanced heat solver, and the 256..1024-virtual-locality
-// skewed-cluster model that runs the same planner analytically.
+// px::agas rebalancer: the pure greedy planner, load folding (weights and
+// health penalties), the live rebalanced heat solver, and the
+// 256..1024-virtual-locality skewed-cluster model that runs the same
+// planner analytically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "px/agas/rebalance.hpp"
 #include "px/arch/cluster_sim.hpp"
 #include "px/arch/machine.hpp"
-#include "px/counters/counters.hpp"
 #include "px/stencil/heat1d.hpp"
 #include "px/stencil/heat1d_distributed.hpp"
 
@@ -136,80 +133,6 @@ TEST(Rebalance, PlannerIsDeterministic) {
     EXPECT_EQ(a[i].from, b[i].from);
     EXPECT_EQ(a[i].to, b[i].to);
   }
-}
-
-// ---- PX_AGAS_REBALANCE: strict env_token parsing -------------------------
-
-struct env_guard {
-  ~env_guard() { ::unsetenv("PX_AGAS_REBALANCE"); }
-};
-
-TEST(Rebalance, EnvKnobAcceptsExactTokensOnly) {
-  env_guard guard;
-  rebalance_config base;
-  base.enabled = true;
-
-  ::setenv("PX_AGAS_REBALANCE", "off", 1);
-  EXPECT_FALSE(rebalance_config::from_env(base).enabled);
-  ::setenv("PX_AGAS_REBALANCE", "on", 1);
-  base.enabled = false;
-  EXPECT_TRUE(rebalance_config::from_env(base).enabled);
-}
-
-TEST(Rebalance, EnvKnobIgnoresMalformedValues) {
-  env_guard guard;
-  rebalance_config base;
-  base.enabled = true;
-  // Strict: case-sensitive, no trimming, no synonyms — base wins.
-  for (char const* bad : {"OFF", "Off", " off", "off ", "0", "false", "no",
-                          "disabled", ""}) {
-    ::setenv("PX_AGAS_REBALANCE", bad, 1);
-    EXPECT_TRUE(rebalance_config::from_env(base).enabled)
-        << "value '" << bad << "' should have been rejected";
-  }
-  base.enabled = false;
-  for (char const* bad : {"ON", "On", "1", "true", "yes", " on"}) {
-    ::setenv("PX_AGAS_REBALANCE", bad, 1);
-    EXPECT_FALSE(rebalance_config::from_env(base).enabled)
-        << "value '" << bad << "' should have been rejected";
-  }
-}
-
-TEST(Rebalance, EnvKnobAbsentKeepsBase) {
-  env_guard guard;
-  ::unsetenv("PX_AGAS_REBALANCE");
-  rebalance_config base;
-  base.enabled = false;
-  EXPECT_FALSE(rebalance_config::from_env(base).enabled);
-  base.enabled = true;
-  EXPECT_TRUE(rebalance_config::from_env(base).enabled);
-}
-
-// ---- tenant queue gauges -> per-locality loads ---------------------------
-
-TEST(Rebalance, TenantQueueLoadsFoldGaugesByLocality) {
-  px::counters::registration reg;
-  reg.add("/px/tenant/alpha/queued", px::counters::kind::gauge,
-          [] { return std::uint64_t{12}; });
-  reg.add("/px/tenant/beta/queued", px::counters::kind::gauge,
-          [] { return std::uint64_t{5}; });
-  reg.add("/px/tenant/gamma/queued", px::counters::kind::gauge,
-          [] { return std::uint64_t{7}; });
-  // Non-queued tenant paths must not contribute.
-  reg.add("/px/tenant/alpha/rejected", px::counters::kind::monotone,
-          [] { return std::uint64_t{999}; });
-
-  auto loads = px::agas::tenant_queue_loads(
-      3, [](std::string const& instance) -> std::optional<std::uint32_t> {
-        if (instance == "alpha") return 0;
-        if (instance == "beta") return 0;
-        if (instance == "gamma") return 2;
-        return std::nullopt;
-      });
-  ASSERT_EQ(loads.size(), 3u);
-  EXPECT_DOUBLE_EQ(loads[0], 17.0);
-  EXPECT_DOUBLE_EQ(loads[1], 0.0);
-  EXPECT_DOUBLE_EQ(loads[2], 7.0);
 }
 
 // ---- zipf partition sizing -----------------------------------------------

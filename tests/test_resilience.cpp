@@ -363,23 +363,28 @@ TEST(FailureDetector, SilentLocalityIsSuspectedThenConfirmed) {
   auto const before_suspects = builtin().resilience_suspects.load();
   auto const before_confirms = builtin().resilience_confirms.load();
 
-  px::dist::distributed_domain dom(detector_cfg(3));
+  // Declared before the domain: a suspect callback cannot be removed, so
+  // what it captures must outlive the detector.
   std::atomic<int> suspected{-1};
+  px::dist::distributed_domain dom(detector_cfg(3));
   std::atomic<int> confirmed{-1};
   dom.detector()->on_suspect(
       [&](std::uint32_t loc) { suspected.store(static_cast<int>(loc)); });
-  dom.detector()->on_confirm(
+  auto const hook = dom.add_confirm_hook(
       [&](std::uint32_t loc) { confirmed.store(static_cast<int>(loc)); });
 
   // A hang is invisible out of band: the wire goes silent but the fault
   // plane does not mark the locality dead, so the only path to a confirm
   // is organic heartbeat silence.
   dom.fabric().faults().hang_now(2);
-  // The detector publishes the death (confirm_failure) before it runs the
-  // on_confirm callbacks: wait for the callback too, not just the flag.
-  ASSERT_TRUE(eventually(5'000, [&] {
+  // confirm_failure publishes the death before it runs the confirm hooks:
+  // wait for the hook too, not just the flag. The hook goes before any
+  // assertion can return, so it never outlives `confirmed`.
+  bool const confirmed_in_time = eventually(5'000, [&] {
     return dom.is_confirmed_dead(2) && confirmed.load() != -1;
-  }));
+  });
+  dom.remove_confirm_hook(hook);
+  ASSERT_TRUE(confirmed_in_time);
 
   EXPECT_EQ(suspected.load(), 2);
   EXPECT_EQ(confirmed.load(), 2);

@@ -4,11 +4,9 @@
 // ABI-preset 2D Jacobi runners against the serial reference and the
 // auto-vectorized solver, the VNS 1D heat kernel, unaligned pack ops at
 // odd offsets, and the cache-blocked 3D Jacobi (reference agreement,
-// block-shape invariance, env knobs, and a seed sweep in the torture
-// lane).
+// block-shape invariance, and a seed sweep in the torture lane).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -381,25 +379,6 @@ TEST(Jacobi3dBlocked, BlockShapeAndSimdPathInvariant) {
           << "i=" << i << " bx=" << cfg.block_x << " by=" << cfg.block_y
           << " bz=" << cfg.block_z << " simd=" << cfg.explicit_simd;
   }
-}
-
-TEST(Jacobi3dBlocked, ConfigFromEnvAppliesStrictKnobs) {
-  ::setenv("PX_SIMD_BLOCK_X", "8", 1);
-  ::setenv("PX_SIMD_BLOCK_Y", "3", 1);
-  ::setenv("PX_SIMD_BLOCK_Z", "junk", 1);  // malformed: leaves base value
-  jacobi3d_config base;
-  base.block_z = 5;
-  auto const cfg = jacobi3d_config::from_env(base);
-  ::unsetenv("PX_SIMD_BLOCK_X");
-  ::unsetenv("PX_SIMD_BLOCK_Y");
-  ::unsetenv("PX_SIMD_BLOCK_Z");
-  EXPECT_EQ(cfg.block_x, 8u);
-  EXPECT_EQ(cfg.block_y, 3u);
-  EXPECT_EQ(cfg.block_z, 5u);
-  auto const clean = jacobi3d_config::from_env(base);
-  EXPECT_EQ(clean.block_x, 0u);
-  EXPECT_EQ(clean.block_y, 0u);
-  EXPECT_EQ(clean.block_z, 5u);
 }
 
 // ---- torture lane: seed sweep of the 3D blocked kernel ------------------

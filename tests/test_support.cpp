@@ -142,13 +142,10 @@ TEST(Env, RejectsTrailingGarbage) {
   ::setenv("PX_TEST_TRAIL", "123abc", 1);
   EXPECT_FALSE(px::env_size("PX_TEST_TRAIL").has_value());
   EXPECT_FALSE(px::env_u64("PX_TEST_TRAIL").has_value());
-  EXPECT_FALSE(px::env_double("PX_TEST_TRAIL").has_value());
   ::setenv("PX_TEST_TRAIL", "64k", 1);
   EXPECT_FALSE(px::env_size("PX_TEST_TRAIL").has_value());
   ::setenv("PX_TEST_TRAIL", "12 ", 1);  // even trailing whitespace
   EXPECT_FALSE(px::env_u64("PX_TEST_TRAIL").has_value());
-  ::setenv("PX_TEST_TRAIL", "1.5x", 1);
-  EXPECT_FALSE(px::env_double("PX_TEST_TRAIL").has_value());
   // Exact parses still succeed.
   ::setenv("PX_TEST_TRAIL", "123", 1);
   EXPECT_EQ(px::env_size("PX_TEST_TRAIL"), 123u);
@@ -163,12 +160,6 @@ TEST(Env, ParsesBools) {
   ::setenv("PX_TEST_BOOL", "maybe", 1);
   EXPECT_FALSE(px::env_bool("PX_TEST_BOOL").has_value());
   ::unsetenv("PX_TEST_BOOL");
-}
-
-TEST(Env, ParsesDoubles) {
-  ::setenv("PX_TEST_DBL", "2.5", 1);
-  EXPECT_DOUBLE_EQ(px::env_double("PX_TEST_DBL").value(), 2.5);
-  ::unsetenv("PX_TEST_DBL");
 }
 
 TEST(UniqueFunction, SmallCallableNoAlloc) {
